@@ -79,6 +79,7 @@ EXEMPT_FIELDS = {
     "rate": "injection rate in flits/cycle (dimensionless)",
     "avg_hops": "hop count (dimensionless)",
     "max_rho": "link utilisation rho (dimensionless)",
+    "residual": "fixed-point link-load change in flits/cycle, like rate",
     "buffer_occupancy": "fraction of buffer slots in use",
     "buffer_threshold": "occupancy fraction threshold",
     # TilePower components: watts, but the 4-field API predates the rule

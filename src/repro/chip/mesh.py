@@ -6,6 +6,7 @@ Tiles are indexed row-major: tile id ``y * width + x`` sits at coordinate
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
@@ -60,6 +61,13 @@ class MeshGeometry:
         bx, by = self.coord_of(b)
         return abs(ax - bx) + abs(ay - by)
 
+    @property
+    def hop_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """All-pairs Manhattan distances: ``hop_rows[a][b]`` equals
+        ``manhattan(a, b)``.  Built once per mesh size, for placement
+        loops that would otherwise re-derive coordinates per pair."""
+        return _hop_rows(self.width, self.height)
+
     def neighbors(self, tile: int) -> List[int]:
         """Tiles at Manhattan distance 1 (2 to 4 of them)."""
         x, y = self.coord_of(tile)
@@ -82,3 +90,12 @@ class MeshGeometry:
                 f"tile id {tile} outside [0, {self.tile_count}) for "
                 f"{self.width}x{self.height} mesh"
             )
+
+
+@functools.lru_cache(maxsize=None)
+def _hop_rows(width: int, height: int) -> Tuple[Tuple[int, ...], ...]:
+    coords = [(t % width, t // width) for t in range(width * height)]
+    return tuple(
+        tuple(abs(ax - bx) + abs(ay - by) for bx, by in coords)
+        for ax, ay in coords
+    )

@@ -10,12 +10,30 @@ utilisation / per-router activity / expected latency fall out.
 Adaptive policies (PANR, ICON) react to congestion and PSN, which in turn
 depend on the routing - so the model iterates to a fixed point: routing
 weights are computed against the previous iteration's link loads, router
-activities and PSN sensor values.
+activities and PSN sensor values.  Context-free policies (XY,
+west-first, odd-even) ignore that state, so one iteration is already
+the fixed point.
 
 Latency uses an M/D/1-style queueing term per link: a link with
 utilisation ``rho`` delays a flit ``rho / (2 (1 - rho))`` service slots on
 average, on top of the router pipeline latency.  Utilisation is clamped
 just below 1; a clamped link marks the report as saturated.
+
+The model is array-native.  Per-port state is ``(n, 4)`` arrays in
+port-code order (EAST, WEST, NORTH, SOUTH), gathered through
+:meth:`MeshTopology.neighbor_codes`.  Each iteration asks the policy for
+one weight table ``T[tile, permissible_mask, port]``
+(:meth:`RoutingAlgorithm.weight_table`), then sweeps a dense ``(flows,
+tiles)`` pending-rate matrix level by level, from the largest hop
+distance to the destination down: minimal routing makes every hop
+reduce that distance, so a tile's in-flow is complete when its level is
+expanded.  The per-flow latency DP runs back up over the same records.
+
+Results are bit-identical to the scalar per-flow model kept in
+:mod:`repro.noc.analytical_ref` as the test oracle: a tile's in-flow and
+a router's direction sum each have at most two non-zero terms (order
+cannot matter), and loads shared between flows are summed sequentially
+in flow order, exactly as the scalar loop adds them.
 
 The same :class:`~repro.noc.routing.base.RoutingAlgorithm` weights drive
 the cycle-level simulator, so the two models express one policy;
@@ -24,16 +42,26 @@ the cycle-level simulator, so the two models express one policy;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.noc.routing.base import RoutingAlgorithm, RoutingContext
-from repro.noc.topology import Direction, MeshTopology
+from repro.noc.routing.base import (
+    MESH_COLUMNS,
+    N_MASKS,
+    RouterState,
+    RoutingAlgorithm,
+)
+from repro.noc.topology import MESH_DIRECTIONS, Direction, MeshTopology
 
 #: Utilisation clamp: loads above this mark the network saturated.
 RHO_MAX = 0.95
+
+#: Column of the opposite port, per :data:`MESH_COLUMNS` column.
+_OPPOSITE_COLUMN = np.array(
+    [MESH_COLUMNS[d.opposite] for d in MESH_DIRECTIONS], dtype=np.int64
+)
 
 
 @dataclass(frozen=True)
@@ -84,15 +112,25 @@ class NocLoadReport:
     Attributes:
         router_flits_per_cycle: Flits traversing each router per cycle
             (including injection and ejection), indexed by tile id.
-        link_rho: Utilisation per unidirectional link.
+        link_rho: Utilisation per unidirectional link that carried
+            flow, keyed in ``(tile, port)`` row-major order.
         flows: Per-flow statistics, in input order.
         saturated: True when any link hit the utilisation clamp.
+        iterations: Fixed-point iterations run (1 for context-free
+            policies).
+        residual: Fixed-point health: the largest change of any link
+            load (flits/cycle) between the last two iterations; the
+            first iteration compares against zero load.  Exactly 0.0
+            for context-free policies, whose one iteration is exact.
+            Diagnostic only - no result reads it.
     """
 
     router_flits_per_cycle: np.ndarray
     link_rho: Dict[Tuple[int, Direction], float]
     flows: List[FlowStats]
     saturated: bool
+    iterations: int = 1
+    residual: float = 0.0
 
     @property
     def unroutable_flow_indices(self) -> List[int]:
@@ -101,7 +139,8 @@ class NocLoadReport:
 
     @property
     def avg_latency_cycles(self) -> float:
-        """Rate-weighted mean header latency over all flows."""
+        """Unweighted mean header latency over all flows (zero-rate and
+        local flows count with latency 0)."""
         if not self.flows:
             return 0.0
         return float(np.mean([f.header_latency_cycles for f in self.flows]))
@@ -111,14 +150,47 @@ class NocLoadReport:
         return float(np.max(self.router_flits_per_cycle))
 
 
+def _flow_order_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 strictly in row order, as the scalar loop adds
+    per-flow loads (``cumsum`` never reassociates)."""
+    if len(rows) == 0:
+        return np.zeros(rows.shape[1:])
+    return np.cumsum(rows, axis=0)[-1]
+
+
+def _port_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the last (port) axis left to right."""
+    return ((values[..., 0] + values[..., 1]) + values[..., 2]) + values[..., 3]
+
+
+class _Level(NamedTuple):
+    """The (flow, tile) records at one hop distance from their
+    destinations, with the flat indices every iteration reuses."""
+
+    hops: int
+    #: Flat (flow, tile) index into ``(flows, tiles)`` matrices.
+    cell: np.ndarray
+    #: Row of the ``(flows * (tiles + 1), 4)`` share matrix.
+    share_row: np.ndarray
+    #: ``(R, 4)`` flat indices of the shares the neighbours one level
+    #: out send towards the record (the zero pad row at mesh edges).
+    inflow: np.ndarray
+    #: Offered rate at the flow's source record, 0 elsewhere.
+    inject: np.ndarray
+    #: Row of the ``(tiles * N_MASKS, 4)`` weight table.
+    entry: np.ndarray
+    #: ``(R, 4)`` flat (flow, next tile) index per port for the DP.
+    next_cell: np.ndarray
+
+
 class AnalyticalNocModel:
     """Fixed-point flow model over one routing policy.
 
     Args:
         topo: The mesh topology.
         routing: Routing policy (weights drive the flow splits).
-        iterations: Fixed-point iterations (2-3 suffice; deterministic
-            policies converge in 1).
+        iterations: Fixed-point iterations for context-dependent
+            policies (2-3 suffice; context-free policies always run 1).
         link_bandwidth: Flits per cycle a link can carry (1.0 for a
             single-flit-wide link).
         router_noise_pct_per_flit: PSN a flit/cycle of router activity
@@ -154,6 +226,22 @@ class AnalyticalNocModel:
         self._bw = link_bandwidth
         self._router_noise = router_noise_pct_per_flit
         self._burstiness = burstiness
+        self._table = routing.permissible_table(topo)
+        #: (n, 4) neighbour per port, -1 at mesh edges; ``_nb`` points
+        #: edges at tile 0 and ``_upstream`` at the zero pad row ``n``
+        #: of the share matrix, for safe gathers.
+        self._nbr = topo.neighbor_codes()[:, 1:]
+        self._has = self._nbr >= 0
+        self._nb = np.where(self._has, self._nbr, 0)
+        self._upstream = np.where(self._has, self._nbr, topo.mesh.tile_count)
+        tiles = np.arange(topo.mesh.tile_count)
+        self._x = tiles % topo.mesh.width
+        self._y = tiles // topo.mesh.width
+        self._static = (
+            routing.weight_table(topo, self._table, None)
+            if routing.context_free
+            else None
+        )
 
     @property
     def routing(self) -> RoutingAlgorithm:
@@ -192,7 +280,8 @@ class AnalyticalNocModel:
         Returns:
             The :class:`NocLoadReport`.
         """
-        n_tiles = self._topo.mesh.tile_count
+        mesh = self._topo.mesh
+        n_tiles = mesh.tile_count
         if psn_pct is None:
             psn_pct = np.zeros(n_tiles)
         psn_pct = np.asarray(psn_pct, dtype=float)
@@ -202,228 +291,276 @@ class AnalyticalNocModel:
             psn_valid = np.asarray(psn_valid, dtype=bool)
             if psn_valid.shape != (n_tiles,):
                 raise ValueError(f"psn_valid must have shape ({n_tiles},)")
-        dead_links = dead_links or set()
-        dead_routers = dead_routers or set()
-        for f in flows:
-            self._topo.mesh._check_tile(f.src)
-            self._topo.mesh._check_tile(f.dst)
+        ends = np.array(
+            [(f.src, f.dst) for f in flows], dtype=np.int64
+        ).reshape(-1, 2)
+        bad = (ends < 0) | (ends >= n_tiles)
+        if bad.any():
+            # Same error as MeshGeometry for the first bad id in order.
+            mesh.coord_of(int(ends[bad][0]))
+        src, dst = ends[:, 0], ends[:, 1]
+        rate = np.array([f.rate for f in flows], dtype=float)
+        active = (rate > 0.0) & (src != dst)
+        unroutable = np.zeros(len(flows), dtype=bool)
+        alive = self._has
+        if dead_links or dead_routers:
+            alive, dead_end = self._fault_masks(
+                dead_links or set(), dead_routers or set(), src, dst
+            )
+            unroutable |= active & dead_end
+            active &= ~dead_end
 
-        link_load: Dict[Tuple[int, Direction], float] = {}
-        router_load = np.zeros(n_tiles)
-        # Relaxed copies fed to the routing contexts: adaptive policies
-        # with sharp argmin selection can oscillate between iterations
-        # (all flow flips to the quiet side, which then becomes the loud
-        # side); under-relaxation damps the fixed point.
-        ctx_link: Dict[Tuple[int, Direction], float] = {}
+        levels = self._levels(src, dst, rate, active)
+        ctx_link = np.zeros((n_tiles, len(MESH_DIRECTIONS)))
         ctx_router = np.zeros(n_tiles)
-        per_flow_splits: List[Dict[int, Dict[Direction, float]]] = []
-
-        unroutable: List[bool] = [False] * len(flows)
-        for it in range(self._iterations):
-            contexts = self._build_contexts(
-                ctx_link, ctx_router, psn_pct, psn_valid
+        link_load = ctx_link
+        residual = 0.0
+        context_free = self._static is not None
+        iterations = 1 if context_free else self._iterations
+        for it in range(iterations):
+            table = (
+                self._static
+                if context_free
+                else self._routing.weight_table(
+                    self._topo,
+                    self._table,
+                    self._router_state(ctx_link, ctx_router, psn_pct, psn_valid),
+                )
             )
-            link_load, router_load, per_flow_splits, unroutable = (
-                self._propagate(flows, contexts, dead_links, dead_routers)
+            if alive is not self._has:
+                table = np.where(alive[:, None, :], table, 0.0)
+            pending, shares, blocked = self._propagate(
+                levels, table, len(flows)
             )
+            router_load = _flow_order_sum(pending)
+            new_load = _flow_order_sum(shares[:, :n_tiles])
+            residual = float(np.max(np.abs(new_load - link_load), initial=0.0))
+            link_load = new_load
+            # Relaxed copies fed to the routing contexts: adaptive
+            # policies with sharp argmin selection can oscillate between
+            # iterations (all flow flips to the quiet side, which then
+            # becomes the loud side); under-relaxation damps the fixed
+            # point.
             blend = 0.5 if it else 1.0
-            keys = set(ctx_link) | set(link_load)
-            ctx_link = {
-                k: (1 - blend) * ctx_link.get(k, 0.0)
-                + blend * link_load.get(k, 0.0)
-                for k in keys
-            }
+            ctx_link = (1 - blend) * ctx_link + blend * link_load
             ctx_router = (1 - blend) * ctx_router + blend * router_load
+        if context_free:
+            residual = 0.0
+        unroutable |= blocked
 
+        util = link_load * self._burstiness / self._bw
+        rho = np.minimum(util, RHO_MAX)
+        tiles, ports = np.nonzero((shares[:, :n_tiles] > 0.0).any(axis=0))
         link_rho = {
-            link: min(load * self._burstiness / self._bw, RHO_MAX)
-            for link, load in link_load.items()
+            (t, MESH_DIRECTIONS[c]): v
+            for t, c, v in zip(
+                tiles.tolist(), ports.tolist(), rho[tiles, ports].tolist()
+            )
         }
-        saturated = any(
-            load * self._burstiness / self._bw > RHO_MAX
-            for load in link_load.values()
+        hops, latency, worst = self._latency(
+            levels, shares, rho, per_hop_cycles
         )
+        rows = np.arange(len(flows))
         flow_stats = [
-            self._flow_latency(f, split, link_rho, per_hop_cycles, blocked)
-            for f, split, blocked in zip(flows, per_flow_splits, unroutable)
+            FlowStats(h, lat, w, u)
+            for h, lat, w, u in zip(
+                hops[rows, src].tolist(),
+                latency[rows, src].tolist(),
+                worst[rows, src].tolist(),
+                unroutable.tolist(),
+            )
         ]
         return NocLoadReport(
             router_flits_per_cycle=router_load,
             link_rho=link_rho,
             flows=flow_stats,
-            saturated=saturated,
+            saturated=bool((util[tiles, ports] > RHO_MAX).any()),
+            iterations=iterations,
+            residual=residual,
         )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _build_contexts(
+    def _fault_masks(
         self,
-        link_load: Dict[Tuple[int, Direction], float],
-        router_load: np.ndarray,
-        psn_pct: np.ndarray,
-        psn_valid: Optional[np.ndarray] = None,
-    ) -> List[RoutingContext]:
-        """Per-router routing contexts from the previous iteration."""
-        topo = self._topo
-        contexts = []
-        for tile in topo.mesh.tiles():
-            incoming = [
-                link_load.get((topo.neighbor(tile, d), d.opposite), 0.0)
-                for d in topo.out_directions(tile)
-            ]
-            occupancy = (
-                min(1.0, max(incoming) * self._burstiness / self._bw)
-                if incoming
-                else 0.0
-            )
-            rates = {}
-            noise = {}
-            trusted = {}
-            out_rho = {}
-            for d in topo.out_directions(tile):
-                n = topo.neighbor(tile, d)
-                rates[d] = float(router_load[n])
-                if psn_valid is not None:
-                    trusted[d] = bool(psn_valid[n])
-                # The sensors a real PANR consults see the *current*
-                # noise, which includes the router activity the routing
-                # itself creates; feeding the running load estimate back
-                # here lets the fixed point co-converge instead of
-                # funnelling all traffic through one "quiet" corridor.
-                noise[d] = float(psn_pct[n]) + self._router_noise * float(
-                    router_load[n]
-                )
-                out_rho[d] = min(
-                    link_load.get((tile, d), 0.0) * self._burstiness / self._bw,
-                    1.0,
-                )
-            contexts.append(
-                RoutingContext(
-                    buffer_occupancy=occupancy,
-                    neighbor_data_rate=rates,
-                    neighbor_psn_pct=noise,
-                    neighbor_psn_valid=trusted,
-                    out_link_rho=out_rho,
-                )
-            )
-        return contexts
-
-    def _propagate(
-        self,
-        flows: Sequence[Flow],
-        contexts: List[RoutingContext],
         dead_links: Set[Tuple[int, Direction]],
         dead_routers: Set[int],
-    ):
-        topo = self._topo
-        faulty = bool(dead_links or dead_routers)
-        link_load: Dict[Tuple[int, Direction], float] = {}
-        router_load = np.zeros(topo.mesh.tile_count)
-        per_flow_splits: List[Dict[int, Dict[Direction, float]]] = []
-        unroutable: List[bool] = []
+        src: np.ndarray,
+        dst: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(alive, dead_end)``: usable ports (n, 4) and flows with a
+        dead endpoint router."""
+        n_tiles = self._topo.mesh.tile_count
+        alive = self._has.copy()
+        for tile, d in sorted(
+            dead_links, key=lambda link: (link[0], link[1].value)
+        ):
+            if d in MESH_COLUMNS and 0 <= tile < n_tiles:
+                alive[tile, MESH_COLUMNS[d]] = False
+        # Slot n stays False: the -1 "no neighbour" entries index it.
+        dead = np.zeros(n_tiles + 1, dtype=bool)
+        dead[[t for t in sorted(dead_routers) if 0 <= t < n_tiles]] = True
+        alive &= ~dead[self._nbr]
+        return alive, dead[src] | dead[dst]
 
-        for flow in flows:
-            splits: Dict[int, Dict[Direction, float]] = {}
-            blocked = False
-            if flow.rate <= 0.0 or flow.src == flow.dst:
-                per_flow_splits.append(splits)
-                unroutable.append(False)
-                continue
-            if faulty and (flow.src in dead_routers or flow.dst in dead_routers):
-                per_flow_splits.append(splits)
-                unroutable.append(True)
-                continue
-            # Process nodes in decreasing distance from dst: minimal
-            # routing guarantees each hop reduces the distance, so every
-            # node's inflow is complete by the time it is expanded.
-            pending: Dict[int, float] = {flow.src: flow.rate}
-            while pending:
-                node = max(
-                    pending, key=lambda n: topo.hops(n, flow.dst)
-                )
-                rate = pending.pop(node)
-                router_load[node] += rate
-                if node == flow.dst:
-                    continue
-                weights = self._routing.weights(
-                    topo, node, flow.dst, contexts[node]
-                )
-                if faulty:
-                    # Route around dead components: drop directions over
-                    # a failed link or into a failed router.  When every
-                    # permissible direction is dead the flow's remaining
-                    # rate dies here and the flow is declared unroutable
-                    # (the runtime re-maps the owning application).
-                    weights = {
-                        d: w
-                        for d, w in weights.items()
-                        if (node, d) not in dead_links
-                        and topo.neighbor(node, d) not in dead_routers
-                    }
-                total = sum(weights.values())
-                if total <= 0:
-                    blocked = True
-                    continue
-                node_split: Dict[Direction, float] = {}
-                for d, w in weights.items():
-                    share = rate * w / total
-                    if share <= 0:
-                        continue
-                    node_split[d] = share
-                    link = (node, d)
-                    link_load[link] = link_load.get(link, 0.0) + share
-                    nxt = topo.neighbor(node, d)
-                    pending[nxt] = pending.get(nxt, 0.0) + share
-                splits[node] = node_split
-            per_flow_splits.append(splits)
-            unroutable.append(blocked)
-        return link_load, router_load, per_flow_splits, unroutable
-
-    def _flow_latency(
+    def _levels(
         self,
-        flow: Flow,
-        splits: Dict[int, Dict[Direction, float]],
-        link_rho: Dict[Tuple[int, Direction], float],
+        src: np.ndarray,
+        dst: np.ndarray,
+        rate: np.ndarray,
+        active: np.ndarray,
+    ) -> List[_Level]:
+        """Candidate (flow, tile) records grouped by hop distance to the
+        flow's destination, farthest level first, destinations last.
+
+        Minimal routes stay inside the source-destination bounding box,
+        so only its tiles are candidates; which of them a flow actually
+        reaches is decided per iteration by its in-flow.
+        """
+        n_tiles = self._topo.mesh.tile_count
+        fa = np.flatnonzero(active)
+        x, y = self._x, self._y
+        sx, sy, dx, dy = x[src[fa]], y[src[fa]], x[dst[fa]], y[dst[fa]]
+        inside = (
+            (x >= np.minimum(sx, dx)[:, None])
+            & (x <= np.maximum(sx, dx)[:, None])
+            & (y >= np.minimum(sy, dy)[:, None])
+            & (y <= np.maximum(sy, dy)[:, None])
+        )
+        row, ni = np.nonzero(inside)
+        fi = fa[row]
+        level = self._topo.hops_table()[ni, dst[fi]]
+        order = np.argsort(-level, kind="stable")
+        fi, ni, level = fi[order], ni[order], level[order]
+        pad_row = fi * (n_tiles + 1)
+        columns = (
+            fi * n_tiles + ni,
+            pad_row + ni,
+            (pad_row[:, None] + self._upstream[ni]) * len(MESH_DIRECTIONS)
+            + _OPPOSITE_COLUMN,
+            np.where(ni == src[fi], rate[fi], 0.0),
+            ni * N_MASKS + self._table.perm_mask[ni, dst[fi]],
+            (fi * n_tiles)[:, None] + self._nb[ni],
+        )
+        bounds = [0, *(np.flatnonzero(np.diff(level)) + 1).tolist(), len(level)]
+        return [
+            _Level(int(level[a]), *(c[a:b] for c in columns))
+            for a, b in zip(bounds, bounds[1:])
+            if b > a
+        ]
+
+    def _router_state(
+        self,
+        link_load: np.ndarray,
+        router_load: np.ndarray,
+        psn_pct: np.ndarray,
+        psn_valid: Optional[np.ndarray],
+    ) -> RouterState:
+        """Every router's routing context from the previous iteration."""
+        has, nb = self._has, self._nb
+        incoming = np.where(has, link_load[nb, _OPPOSITE_COLUMN], 0.0)
+        neighbor_load = router_load[nb]
+        return RouterState(
+            buffer_occupancy=np.minimum(
+                1.0, incoming.max(axis=1) * self._burstiness / self._bw
+            ),
+            neighbor_data_rate=np.where(has, neighbor_load, 0.0),
+            # The sensors a real PANR consults see the *current* noise,
+            # which includes the router activity the routing itself
+            # creates; feeding the running load estimate back here lets
+            # the fixed point co-converge instead of funnelling all
+            # traffic through one "quiet" corridor.
+            neighbor_psn_pct=np.where(
+                has, psn_pct[nb] + self._router_noise * neighbor_load, 0.0
+            ),
+            neighbor_psn_valid=(
+                None if psn_valid is None else np.where(has, psn_valid[nb], True)
+            ),
+            out_link_rho=np.minimum(
+                link_load * self._burstiness / self._bw, 1.0
+            ),
+        )
+
+    def _propagate(
+        self, levels: List[_Level], table: np.ndarray, n_flows: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One level-synchronous sweep of every flow under ``table``.
+
+        A record's rate is its injection (at the source) plus its
+        in-flow: the shares its up-to-four neighbours one level farther
+        out sent towards it.  Returns ``(pending, shares, blocked)``:
+        the rate through each router per (flow, tile), the link shares
+        per (flow, tile, port) - row ``n`` of each flow is a zero pad
+        that mesh-edge gathers read - and the flows stopped at a tile
+        with no usable direction.
+        """
+        n_tiles, n_ports = self._topo.mesh.tile_count, len(MESH_DIRECTIONS)
+        pending = np.zeros(n_flows * n_tiles)
+        shares = np.zeros((n_flows * (n_tiles + 1), n_ports))
+        flat_shares = shares.reshape(-1)
+        blocked = np.zeros(n_flows, dtype=bool)
+        weights = table.reshape(-1, n_ports)
+        total = _port_sum(weights)
+        for lv in levels:
+            r = _port_sum(flat_shares[lv.inflow]) + lv.inject
+            pending[lv.cell] = r
+            if lv.hops == 0:
+                continue  # destinations eject
+            tot = total[lv.entry]
+            routable = tot > 0.0
+            if not routable.all():
+                # Every permissible direction is dead here: a reached
+                # flow's remaining rate dies and it is unroutable.
+                stuck = lv.cell[(r > 0.0) & ~routable] // n_tiles
+                blocked[stuck] = True
+                tot = np.where(routable, tot, np.inf)
+            share = r[:, None] * weights[lv.entry] / tot[:, None]
+            shares[lv.share_row] = np.where(share > 0.0, share, 0.0)
+        return (
+            pending.reshape(n_flows, n_tiles),
+            shares.reshape(n_flows, n_tiles + 1, n_ports),
+            blocked,
+        )
+
+    def _latency(
+        self,
+        levels: List[_Level],
+        shares: np.ndarray,
+        rho: np.ndarray,
         per_hop_cycles: float,
-        unroutable: bool = False,
-    ) -> FlowStats:
-        if flow.src == flow.dst or flow.rate <= 0.0 or not splits:
-            return FlowStats(
-                avg_hops=0.0,
-                header_latency_cycles=0.0,
-                max_rho=0.0,
-                unroutable=unroutable,
-            )
-        # Dynamic programming from dst outward over the split DAG.
-        hops: Dict[int, float] = {flow.dst: 0.0}
-        lat: Dict[int, float] = {flow.dst: 0.0}
-        worst: Dict[int, float] = {flow.dst: 0.0}
-        nodes = sorted(
-            splits, key=lambda n: self._topo.hops(n, flow.dst)
-        )
-        for node in nodes:
-            node_split = splits[node]
-            total = sum(node_split.values())
-            if total <= 0:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-(flow, tile) expected hops, header latency and worst link
+        utilisation to the destination: a DP from the destination
+        outward over the split DAG, nearest level first.  Records that
+        split no flow keep 0, like tiles the scalar DP never visits."""
+        n_flows, n_tiles = shares.shape[0], shares.shape[1] - 1
+        hops = np.zeros(n_flows * n_tiles)
+        latency = np.zeros(n_flows * n_tiles)
+        worst = np.zeros(n_flows * n_tiles)
+        queue = rho / (2.0 * (1.0 - np.minimum(rho, RHO_MAX)))
+        rows = shares.reshape(-1, len(MESH_DIRECTIONS))
+        for lv in reversed(levels):
+            if lv.hops == 0:
                 continue
-            h = l = 0.0
-            w_max = 0.0
-            for d, share in node_split.items():
-                nxt = self._topo.neighbor(node, d)
-                rho = link_rho.get((node, d), 0.0)
-                queue = rho / (2.0 * (1.0 - min(rho, RHO_MAX)))
-                frac = share / total
-                h += frac * (1.0 + hops.get(nxt, 0.0))
-                l += frac * (per_hop_cycles + queue + lat.get(nxt, 0.0))
-                w_max = max(w_max, rho, worst.get(nxt, 0.0))
-            hops[node] = h
-            lat[node] = l
-            worst[node] = w_max
-        return FlowStats(
-            avg_hops=hops.get(flow.src, 0.0),
-            header_latency_cycles=lat.get(flow.src, 0.0),
-            max_rho=worst.get(flow.src, 0.0),
-            unroutable=unroutable,
-        )
+            share = rows[lv.share_row]
+            total = _port_sum(share)
+            used = share > 0.0
+            frac = share / np.where(total > 0.0, total, 1.0)[:, None]
+            tiles = lv.cell % n_tiles
+            hops[lv.cell] = _port_sum(
+                np.where(used, frac * (1.0 + hops[lv.next_cell]), 0.0)
+            )
+            latency[lv.cell] = _port_sum(
+                np.where(
+                    used,
+                    frac * (per_hop_cycles + queue[tiles] + latency[lv.next_cell]),
+                    0.0,
+                )
+            )
+            worst[lv.cell] = np.where(
+                used, np.maximum(rho[tiles], worst[lv.next_cell]), 0.0
+            ).max(axis=1)
+        shape = (n_flows, n_tiles)
+        return hops.reshape(shape), latency.reshape(shape), worst.reshape(shape)

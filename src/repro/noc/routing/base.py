@@ -11,15 +11,40 @@ A routing algorithm answers two questions at each router:
 The cycle-level simulator picks the argmax-weight direction per packet;
 the analytical model splits flows fractionally by the same weights, so
 both models express one policy.
+
+The analytical model asks for the weights in bulk: a
+:class:`PermissibleTable` packs ``permissible(cur, dst)`` into a 4-bit
+mask per tile pair, and :meth:`RoutingAlgorithm.weight_table` returns
+the weights of every ``(tile, mask)`` pair at once from a
+:class:`RouterState` (the array form of every router's context).  That
+relies on one contract: ``weights`` depends on ``dst`` only through
+``permissible(cur, dst)``.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
-from repro.noc.topology import Direction, MeshTopology
+import numpy as np
+
+from repro.noc.topology import MESH_DIRECTIONS, Direction, MeshTopology
+
+#: Number of distinct permissible masks: bit ``j`` of a mask stands for
+#: ``MESH_DIRECTIONS[j]`` (EAST, WEST, NORTH, SOUTH - port codes 1..4),
+#: which is also the column order of every ``(n, 4)`` per-port array.
+N_MASKS = 16
+
+#: Direction -> column of the per-port arrays / bit of the masks.
+MESH_COLUMNS: Dict[Direction, int] = {
+    d: j for j, d in enumerate(MESH_DIRECTIONS)
+}
+
+
+def mask_columns(mask: int) -> Tuple[int, ...]:
+    """Columns (ascending) of the directions set in a permissible mask."""
+    return tuple(j for j in range(len(MESH_DIRECTIONS)) if mask >> j & 1)
 
 
 @dataclass
@@ -52,6 +77,123 @@ class RoutingContext:
     def psn_trusted(self, direction: Direction) -> bool:
         """Whether the PSN reading toward ``direction`` is trustworthy."""
         return self.neighbor_psn_valid.get(direction, True)
+
+
+@dataclass(frozen=True)
+class RouterState:
+    """Every router's :class:`RoutingContext` at once, as arrays.
+
+    ``buffer_occupancy`` is ``(n,)``; the other arrays are ``(n, 4)``
+    with columns in :data:`MESH_COLUMNS` order.  A port without a
+    neighbour holds 0 (True in ``neighbor_psn_valid``);
+    ``neighbor_psn_valid`` is ``None`` when every reading is trusted.
+    """
+
+    buffer_occupancy: np.ndarray
+    neighbor_data_rate: np.ndarray
+    neighbor_psn_pct: np.ndarray
+    neighbor_psn_valid: Optional[np.ndarray]
+    out_link_rho: np.ndarray
+
+    def context(self, topo: MeshTopology, tile: int) -> RoutingContext:
+        """The scalar context of one router (for per-tile ``weights``)."""
+        dirs = topo.out_directions(tile)
+        cols = [MESH_COLUMNS[d] for d in dirs]
+        trusted: Dict[Direction, bool] = {}
+        if self.neighbor_psn_valid is not None:
+            row = self.neighbor_psn_valid[tile].tolist()
+            trusted = {d: row[c] for d, c in zip(dirs, cols)}
+        rates = self.neighbor_data_rate[tile].tolist()
+        noise = self.neighbor_psn_pct[tile].tolist()
+        rho = self.out_link_rho[tile].tolist()
+        return RoutingContext(
+            buffer_occupancy=float(self.buffer_occupancy[tile]),
+            neighbor_data_rate={d: rates[c] for d, c in zip(dirs, cols)},
+            neighbor_psn_pct={d: noise[c] for d, c in zip(dirs, cols)},
+            neighbor_psn_valid=trusted,
+            out_link_rho={d: rho[c] for d, c in zip(dirs, cols)},
+        )
+
+
+class PermissibleTable:
+    """One policy's permissible directions over one topology, as masks.
+
+    ``perm_mask[cur, dst]`` packs ``permissible(cur, dst)`` into bits
+    (:data:`MESH_COLUMNS`); ``perm_rep_dst[cur, mask]`` is one
+    destination whose mask at ``cur`` is ``mask`` (-1 where none is),
+    enough to evaluate ``weights`` for that pair.  Building it checks
+    that every permissible hop is minimal, which the analytical model's
+    level-by-level propagation needs.
+    """
+
+    #: Read-only once built; shared by every model over the topology.
+    __shared_readonly__ = ("perm_mask", "perm_rep_dst")
+
+    def __init__(self, topo: MeshTopology, routing: "RoutingAlgorithm"):
+        n = topo.mesh.tile_count
+        hops = topo.hops_table()
+        mask = np.zeros((n, n), dtype=np.int64)
+        rep = np.full((n, N_MASKS), -1, dtype=np.int64)
+        for cur in range(n):
+            for dst in range(n):
+                bits = 0
+                for d in routing.permissible(topo, cur, dst):
+                    nxt = topo.neighbor(cur, d)
+                    if nxt is None or hops[nxt, dst] != hops[cur, dst] - 1:
+                        raise ValueError(
+                            f"{routing.name}: {d.name} at tile {cur} towards "
+                            f"{dst} is not a minimal hop"
+                        )
+                    bits |= 1 << MESH_COLUMNS[d]
+                mask[cur, dst] = bits
+                if rep[cur, bits] < 0:
+                    rep[cur, bits] = dst
+        self.perm_mask = mask
+        self.perm_rep_dst = rep
+        #: Non-empty masks that occur anywhere, ascending.
+        self.masks_used: Tuple[int, ...] = tuple(
+            m for m in np.unique(mask).tolist() if m
+        )
+
+
+def _libm_square(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` elementwise with CPython's float power (libm ``pow``).
+
+    The scalar policies square Python floats; NumPy's ``square`` (and
+    ``power`` with exponent 2) multiplies instead and rounds a small
+    fraction of inputs differently, so array tables that must equal the
+    scalar weights bit for bit square through Python.
+    """
+    return np.array([v**2 for v in x.tolist()], dtype=float)
+
+
+def soft_min_table(
+    table: PermissibleTable, metric: np.ndarray, out_rho: np.ndarray
+) -> np.ndarray:
+    """Array form of the soft argmin shared by PANR and ICON.
+
+    For every two-direction mask, direction ``d`` weighs
+    ``1 / (metric[d] - min + 0.4) ** 2 * max(0.05, 1 - out_rho[d])``;
+    a single-direction mask weighs 1.0 ungated.  Per (tile, mask) the
+    winner's denominator is the constant ``0.4 ** 2``, so only the
+    loser's takes a ``pow`` call: at most two per tile for west-first
+    masks.  Returns the ``(n, N_MASKS, 4)`` table.
+    """
+    n = metric.shape[0]
+    out = np.zeros((n, N_MASKS, len(MESH_DIRECTIONS)))
+    gate = np.maximum(0.05, 1.0 - out_rho)
+    near = 1.0 / 0.4**2
+    for m in table.masks_used:
+        cols = mask_columns(m)
+        if len(cols) == 1:
+            out[:, m, cols[0]] = 1.0
+            continue
+        a, b = cols
+        ma, mb = metric[:, a], metric[:, b]
+        far = 1.0 / _libm_square(np.abs(ma - mb) + 0.4)
+        out[:, m, a] = np.where(ma <= mb, near, far) * gate[:, a]
+        out[:, m, b] = np.where(mb <= ma, near, far) * gate[:, b]
+    return out
 
 
 class RoutingAlgorithm(abc.ABC):
@@ -93,6 +235,44 @@ class RoutingAlgorithm(abc.ABC):
         """
         dirs = self.permissible(topo, cur, dst)
         return {d: 1.0 for d in dirs}
+
+    def permissible_table(self, topo: MeshTopology) -> PermissibleTable:
+        """This policy's :class:`PermissibleTable` over ``topo``.
+
+        Cached on the topology per policy class, so ``permissible``
+        must depend only on the class (not on instance parameters).
+        """
+        return topo.derived(
+            (type(self), "permissible"), lambda: PermissibleTable(topo, self)
+        )
+
+    def weight_table(
+        self,
+        topo: MeshTopology,
+        table: PermissibleTable,
+        state: Optional[RouterState],
+    ) -> np.ndarray:
+        """Weights of every (tile, permissible mask) pair, ``(n, 16, 4)``.
+
+        ``out[cur, mask, MESH_COLUMNS[d]]`` must equal
+        ``weights(topo, cur, dst, ctx)[d]`` for any ``dst`` with that
+        mask at ``cur`` (0 where ``d`` gets no weight).  The default
+        calls :meth:`weights` once per pair in use, at the table's
+        representative destination; array overrides (PANR, ICON) must
+        reproduce it bit for bit.  ``state`` is ``None`` only for
+        :attr:`context_free` policies.
+        """
+        n = topo.mesh.tile_count
+        out = np.zeros((n, N_MASKS, len(MESH_DIRECTIONS)))
+        for cur in range(n):
+            ctx = RoutingContext() if state is None else state.context(topo, cur)
+            reps = table.perm_rep_dst[cur].tolist()
+            for m in table.masks_used:
+                if reps[m] < 0:
+                    continue
+                for d, w in self.weights(topo, cur, reps[m], ctx).items():
+                    out[cur, m, MESH_COLUMNS[d]] = w
+        return out
 
     def select(
         self,

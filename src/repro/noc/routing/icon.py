@@ -21,9 +21,16 @@ up, in the analytical model's propagation step.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from repro.noc.routing.base import RoutingContext
+import numpy as np
+
+from repro.noc.routing.base import (
+    PermissibleTable,
+    RouterState,
+    RoutingContext,
+    soft_min_table,
+)
 from repro.noc.routing.west_first import WestFirstRouting
 from repro.noc.topology import Direction, MeshTopology
 
@@ -58,3 +65,15 @@ class IconRouting(WestFirstRouting):
             d: w * max(0.05, 1.0 - ctx.out_link_rho.get(d, 0.0))
             for d, w in weights.items()
         }
+
+    def weight_table(
+        self,
+        topo: MeshTopology,
+        table: PermissibleTable,
+        state: Optional[RouterState],
+    ) -> np.ndarray:
+        """Array form of :meth:`weights` for every (tile, mask) pair."""
+        assert state is not None, "ICON reads the routing context"
+        return soft_min_table(
+            table, state.neighbor_data_rate, state.out_link_rho
+        )

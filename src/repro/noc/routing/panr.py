@@ -29,9 +29,17 @@ entire sensor network faulted, PANR's routes collapse exactly onto XY.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from repro.noc.routing.base import RoutingContext
+import numpy as np
+
+from repro.noc.routing.base import (
+    PermissibleTable,
+    RouterState,
+    RoutingContext,
+    mask_columns,
+    soft_min_table,
+)
 from repro.noc.routing.west_first import WestFirstRouting
 from repro.noc.routing.xy import XYRouting
 from repro.noc.topology import Direction, MeshTopology
@@ -97,3 +105,30 @@ class PanrRouting(WestFirstRouting):
             d: w * max(0.05, 1.0 - ctx.out_link_rho.get(d, 0.0))
             for d, w in weights.items()
         }
+
+    def weight_table(
+        self,
+        topo: MeshTopology,
+        table: PermissibleTable,
+        state: Optional[RouterState],
+    ) -> np.ndarray:
+        """Array form of :meth:`weights` for every (tile, mask) pair."""
+        assert state is not None, "PANR reads the routing context"
+        congested = state.buffer_occupancy > self.buffer_threshold
+        metric = np.where(
+            congested[:, None], state.neighbor_data_rate, state.neighbor_psn_pct
+        )
+        out = soft_min_table(table, metric, state.out_link_rho)
+        valid = state.neighbor_psn_valid
+        if valid is None:
+            return out
+        for m in table.masks_used:
+            cols = mask_columns(m)
+            if len(cols) == 1:
+                continue  # XY takes the only permissible direction too
+            # Fail-safe XY: within a west-first mask, XY's direction is
+            # the horizontal one (lowest column).
+            untrusted = ~valid[:, list(cols)].all(axis=1)
+            out[untrusted, m, :] = 0.0
+            out[untrusted, m, cols[0]] = 1.0
+        return out

@@ -7,7 +7,16 @@ y grows SOUTH (row-major tile ids).
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -103,9 +112,9 @@ class MeshTopology:
     #: Precomputed all-pairs lookup tables, read-only once built: the
     #: warm-worker-pool plan shares them across workers, and parmlint's
     #: shared-readonly rule flags any write outside __init__ / the lazy
-    #: neighbor-code builder (see docs/lint.md).
-    __shared_readonly__ = ("_hops", "_towards", "_neighbor_codes")
-    __shared_readonly_init__ = ("neighbor_codes",)
+    #: neighbor-code builder and the derived-table memo (see docs/lint.md).
+    __shared_readonly__ = ("_hops", "_towards", "_neighbor_codes", "_derived")
+    __shared_readonly_init__ = ("neighbor_codes", "derived")
 
     def __init__(
         self,
@@ -127,6 +136,7 @@ class MeshTopology:
         self._neighbor_codes: Optional[np.ndarray] = (
             None if shared_tables is None else shared_tables.neighbor_codes
         )
+        self._derived: Dict[Hashable, Any] = {}
         self._neighbors: Dict[int, Dict[Direction, int]] = {}
         coords = [mesh.coord_of(tile) for tile in mesh.tiles()]
         for tile, (x, y) in enumerate(coords):
@@ -212,6 +222,18 @@ class MeshTopology:
                     table[tile, PORT_CODES[d]] = other
             self._neighbor_codes = table
         return self._neighbor_codes
+
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """Read-only table derived from this topology, built once per key.
+
+        Layers above the topology (e.g. a routing policy's permissible
+        masks) cache their per-topology tables here, so every model
+        sharing the topology shares one build.  ``build`` runs on the
+        first request for ``key``; its result must not be mutated.
+        """
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def links(self) -> List[Tuple[int, Direction]]:
         """All unidirectional links as ``(src_tile, direction)`` pairs."""

@@ -22,6 +22,10 @@ against a committed baseline (see ``docs/performance.md``):
   model at 8x8 saturation: object-per-flit reference vs the
   structure-of-arrays engine (plus ``noc_engine_array_adaptive`` for
   the PANR context-assembly path);
+* ``noc_analytical_eval_scalar`` / ``noc_analytical_eval`` - a
+  recorded PARM+PANR refresh trace replayed through the scalar oracle
+  (``repro.noc.analytical_ref``) and the array analytical model (every
+  call asserted identical first);
 * ``lint_deep`` - one cold-cache interprocedural parmlint run over
   ``src/repro`` (call-graph build plus every rule);
 * ``routing_sweep_serial`` / ``routing_sweep_parallel`` - the
@@ -457,6 +461,98 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
     }
 
 
+def record_analytical_trace(n_apps: int, seed: int = 1) -> List[Any]:
+    """Every analytical-NoC ``evaluate`` call of one PARM+PANR run.
+
+    Runs one mixed sequence (0.05 s arrivals, the densest paper grid
+    point) on the default chip and records the ``(flows, kwargs)`` of
+    each NoC refresh, so a replay drives the model exactly as the
+    runtime does.
+    """
+    from repro.apps.suite import ProfileLibrary
+    from repro.apps.workload import WorkloadType, generate_workload
+    from repro.chip.cmp import default_chip
+    from repro.core.selection import ParmManager
+    from repro.noc.routing import make_routing
+    from repro.runtime.simulator import RuntimeSimulator
+
+    workload = generate_workload(
+        WorkloadType.MIXED,
+        0.05,
+        n_apps=n_apps,
+        seed=seed,
+        library=ProfileLibrary(),
+    )
+    sim = RuntimeSimulator(
+        default_chip(), ParmManager(), make_routing("panr"), seed=seed
+    )
+    model = sim._noc
+    evaluate = model.evaluate
+    calls: List[Any] = []
+
+    def recording(flows: Any, **kwargs: Any) -> Any:
+        calls.append(
+            (
+                list(flows),
+                {
+                    key: value.copy() if hasattr(value, "copy") else value
+                    for key, value in kwargs.items()
+                },
+            )
+        )
+        return evaluate(flows, **kwargs)
+
+    model.evaluate = recording  # the instance attribute shadows the method
+    sim.run(workload)
+    return calls
+
+
+def bench_noc_analytical(quick: bool) -> Dict[str, Dict[str, Any]]:
+    from repro.chip.cmp import default_chip
+    from repro.noc.analytical import AnalyticalNocModel
+    from repro.noc.analytical_ref import ReferenceNocModel, reports_identical
+    from repro.noc.routing import make_routing
+    from repro.noc.topology import MeshTopology
+
+    calls = record_analytical_trace(n_apps=4 if quick else 12)
+    topo = MeshTopology(default_chip().mesh)
+    scalar = ReferenceNocModel(topo, make_routing("panr"))
+    array = AnalyticalNocModel(topo, make_routing("panr"))
+    # Identity before timing: the array model must equal the oracle on
+    # every recorded call, not approximately.
+    for i, (flows, kwargs) in enumerate(calls):
+        if not reports_identical(
+            scalar.evaluate(flows, **kwargs), array.evaluate(flows, **kwargs)
+        ):
+            raise RuntimeError(
+                f"array analytical model diverged from the oracle on call {i}"
+            )
+
+    def replay(model: Any) -> Callable[[], None]:
+        def run() -> None:
+            for flows, kwargs in calls:
+                model.evaluate(flows, **kwargs)
+
+        return run
+
+    repeats = 2 if quick else 3
+    meta = {
+        "routing": "panr",
+        "calls": len(calls),
+        "flows": sum(len(flows) for flows, _ in calls),
+    }
+    return {
+        "noc_analytical_eval_scalar": {
+            "seconds": _time_best(replay(scalar), repeats),
+            "meta": {**meta, "model": "scalar oracle"},
+        },
+        "noc_analytical_eval": {
+            "seconds": _time_best(replay(array), repeats),
+            "meta": {**meta, "model": "array"},
+        },
+    }
+
+
 def bench_routing_sweep(quick: bool, workers: int) -> Dict[str, Dict[str, Any]]:
     from repro.exp.routing_sweep import (
         SweepPoint,
@@ -665,6 +761,7 @@ def run_suite(
     benchmarks.update(bench_kernel(quick))
     benchmarks.update(bench_transient(quick))
     benchmarks.update(bench_noc_engine(quick))
+    benchmarks.update(bench_noc_analytical(quick))
     benchmarks.update(bench_lint(quick))
     if "pool" not in skip:
         # Before the e2e/routing suites: those pre-warm the pool, and
@@ -693,6 +790,11 @@ def run_suite(
             "noc_engine_batch_speedup",
             "noc_engine_batch_loop",
             "noc_engine_batched",
+        ),
+        (
+            "noc_analytical_speedup",
+            "noc_analytical_eval_scalar",
+            "noc_analytical_eval",
         ),
         (
             "routing_sweep_parallel_speedup",
@@ -724,9 +826,10 @@ PARALLEL_SPEEDUP_GATES = (
 )
 
 #: Derived speedups that must exceed 1.0x in full mode regardless of
-#: core count: batching wins by cutting python dispatch overhead inside
-#: one process, so a single-core host has no excuse.
-BATCH_SPEEDUP_GATES = ("noc_engine_batch_speedup",)
+#: core count: batching and array evaluation win by cutting python
+#: dispatch overhead inside one process, so a single-core host has no
+#: excuse.
+BATCH_SPEEDUP_GATES = ("noc_engine_batch_speedup", "noc_analytical_speedup")
 
 
 def parallel_speedup_failures(result: Dict[str, Any]) -> List[str]:
@@ -737,8 +840,8 @@ def parallel_speedup_failures(result: Dict[str, Any]) -> List[str]:
     serial throughput no matter how warm the pool is, so the
     multi-process gates only apply when ``os.cpu_count() >= 2`` and the
     missing check is reported as a skip instead.  The batched-engine
-    gates (:data:`BATCH_SPEEDUP_GATES`) are in-process vectorisation
-    wins and are enforced on any core count.
+    and array-model gates (:data:`BATCH_SPEEDUP_GATES`) are in-process
+    vectorisation wins and are enforced on any core count.
     """
     import os
 
@@ -750,7 +853,7 @@ def parallel_speedup_failures(result: Dict[str, Any]) -> List[str]:
         if value is not None and value <= 1.0:
             failures.append(
                 f"{name}: {value:.2f}x <= 1.00x "
-                "(the batched engine must beat a scalar-engine loop)"
+                "(the vectorised path must beat its scalar reference)"
             )
     if (os.cpu_count() or 1) < 2:
         return failures

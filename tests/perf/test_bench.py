@@ -75,6 +75,23 @@ class TestPinnedWorkloads:
         # the lane-identity contract on the quick workload.
         assert result["noc_engine_batched"]["meta"]["lanes"] == 8
 
+    def test_noc_analytical_bench_asserts_identity(self):
+        result = bench.bench_noc_analytical(quick=True)
+        assert set(result) == {
+            "noc_analytical_eval_scalar",
+            "noc_analytical_eval",
+        }
+        for entry in result.values():
+            assert entry["seconds"] > 0
+            assert entry["meta"]["routing"] == "panr"
+            assert entry["meta"]["calls"] > 0
+        # bench_noc_analytical compares every replayed call against the
+        # scalar oracle before timing; the array model must also win.
+        assert (
+            result["noc_analytical_eval"]["seconds"]
+            < result["noc_analytical_eval_scalar"]["seconds"]
+        )
+
     def test_lint_bench_smoke(self):
         result = bench.bench_lint(quick=True)
         assert set(result) == {"lint_deep"}
@@ -163,6 +180,18 @@ class TestCli:
         )
         assert code == 1
         assert "regressions" in capsys.readouterr().err
+
+    def test_analytical_speedup_gated_on_any_core_count(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        slow = payload({}, quick=False)
+        slow["derived"] = {"noc_analytical_speedup": 0.9}
+        failures = bench.parallel_speedup_failures(slow)
+        assert len(failures) == 1
+        assert "noc_analytical_speedup" in failures[0]
+        slow["derived"]["noc_analytical_speedup"] = 4.0
+        assert bench.parallel_speedup_failures(slow) == []
 
     def test_default_gate_is_generous(self):
         assert DEFAULT_GATE_PCT == 25.0
