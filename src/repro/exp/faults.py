@@ -264,10 +264,9 @@ def fault_noc_sweep(
     the flit-level engine runs uniform-random traffic under that field
     for every policy.  All of a policy's (intensity, seed) grid points
     are lanes of one :func:`~repro.noc.batch.simulate_lanes` call, so
-    context-free policies (XY) advance as a single
-    :class:`~repro.noc.batch.BatchedNocEngine` pass and adaptive ones
-    (PANR) fall back per-lane - each lane byte-identical to a scalar
-    run either way.
+    every policy (XY and PANR alike) advances as a single
+    :class:`~repro.noc.batch.BatchedNocEngine` pass - each lane
+    byte-identical to a legacy simulator run.
 
     Traffic is re-used across intensities (one pattern per seed), so
     rows measure pure fault-load response, not traffic noise.

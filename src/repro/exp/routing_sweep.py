@@ -2,8 +2,8 @@
 
 Extension experiment comparing the paper's PANR against XY, odd-even
 and ICON on the flit-level mesh model, across offered load.  Each sweep
-point runs the fast :class:`~repro.noc.engine.ArrayNocEngine` (pinned
-flit-for-flit equivalent of the legacy cycle simulator) on an 8x8 mesh
+point runs the fast array cycle engine (pinned flit-for-flit
+equivalent of the legacy cycle simulator) on an 8x8 mesh
 with a synthetic PSN hotspot band across the middle rows - the setting
 where PSN-aware adaptivity should pay off - under uniform-random
 traffic.
@@ -19,10 +19,12 @@ Context-free policies (XY, west-first, odd-even) do not fan out per
 point: all of a policy's (rate, seed) grid points become lanes of one
 :class:`~repro.noc.batch.BatchedNocEngine` run (:func:`run_batch`),
 which advances every lane in one vectorised lock-step pass.  Each lane
-is pinned flit-for-flit identical to the scalar engine, so the rows are
-byte-identical to the per-point path; only adaptive policies (PANR,
-ICON), whose routing reads live congestion state, still run one
-:func:`run_point` task per grid point.
+is pinned flit-for-flit identical to the legacy simulator, so the rows
+are byte-identical to the per-point path.  Adaptive policies (PANR,
+ICON) keep one :func:`run_point` task per grid point on the one-lane
+:class:`~repro.noc.engine.ArrayNocEngine`: their per-decision route
+selection dominates a run, so they gain more from fanning across
+workers than from sharing the vectorised phases.
 
 ``python -m repro routing`` drives this module from the command line;
 the ``routing`` report section embeds the same table.
@@ -178,13 +180,13 @@ def run_point(point: SweepPoint) -> PointResult:
 
 
 def run_batch(points: Sequence[SweepPoint]) -> List[PointResult]:
-    """Simulate one context-free policy's grid points as a single batch.
+    """Simulate one policy's grid points as a single batch.
 
     Module-level ``map_tasks`` task: every point becomes one lane of a
     :class:`~repro.noc.batch.BatchedNocEngine`, so the whole group
     advances through shared vectorised phases instead of running one
-    scalar engine per point.  Each lane is pinned flit-for-flit
-    identical to the scalar engine, so the returned results match
+    engine per point.  Each lane is pinned flit-for-flit identical to
+    the legacy simulator, so the returned results match
     :func:`run_point` byte for byte.  Points must agree on everything
     except rate and seed - :func:`routing_sweep` groups them that way.
     """
@@ -252,9 +254,9 @@ def routing_sweep(
     :func:`run_point` task per grid point.  Both task kinds go through
     :func:`repro.perf.parallel.map_tasks` and every task is a pure
     function of its spec, so the returned rows are identical for any
-    worker count - and byte-identical to the historical all-scalar
-    path, because each batch lane is pinned flit-for-flit against the
-    scalar engine.
+    worker count - and byte-identical to the per-point path, because
+    each batch lane is pinned flit-for-flit against the legacy
+    simulator.
 
     Returns:
         One seed-averaged :class:`SweepRow` per (policy, rate), in

@@ -18,14 +18,14 @@ threshold ablation, and a flow-based analytical model
 (:mod:`repro.noc.analytical`) fast enough to sit inside the runtime loop
 while preserving the routing-policy-dependent link loads and latencies.
 The cycle model has two interchangeable implementations: the readable
-object-per-flit :class:`~repro.noc.cycle.CycleNocSimulator` reference
-and the structure-of-arrays :class:`~repro.noc.engine.ArrayNocEngine`
-fast path, pinned flit-for-flit identical by the equivalence suite.
-For sweeps, :class:`~repro.noc.batch.BatchedNocEngine` advances many
-independent context-free simulations in one vectorised lock-step pass
-(every lane equally pinned against the oracle); use
-:func:`~repro.noc.batch.simulate_lanes` to batch where possible and
-fall back per-lane for adaptive policies.
+object-per-flit :class:`~repro.noc.cycle.CycleNocSimulator` oracle and
+one structure-of-arrays fast path,
+:class:`~repro.noc.batch.BatchedNocEngine`, which advances many
+independent simulations of any routing policy in one vectorised
+lock-step pass (every lane pinned flit-for-flit against the oracle).
+:class:`~repro.noc.engine.ArrayNocEngine` is its one-lane view with the
+oracle's constructor, and :func:`~repro.noc.batch.simulate_lanes` runs
+a list of lane specs in one batch.
 """
 
 from repro.noc.topology import Direction, MeshTopology

@@ -1,49 +1,64 @@
-"""Batched structure-of-arrays cycle engine: S meshes in lock-step.
+"""Structure-of-arrays cycle engine: S meshes in lock-step.
 
-:class:`BatchedNocEngine` advances ``S`` *independent* mesh simulations
-through the same vectorised injection/route/arbitration/commit phases
-that :class:`repro.noc.engine.ArrayNocEngine` runs for one mesh.  The
-key observation is that a batch of S independent ``n``-tile meshes is
-exactly one *disconnected* mesh of ``S * n`` tiles: lane ``k`` owns the
-tile block ``[k*n, (k+1)*n)``, the downstream-lookup tables are the
-block-diagonal tiling of the single-mesh tables (``neighbor + k*n``),
-and no array operation ever couples tiles of different blocks.  The
-scalar engine's cycle phases therefore generalise *unchanged* over the
-flat ``(S*n, ports)`` state - same expressions, same dtypes, same
-``np.nonzero`` scan order (lane-major, then tile-ascending, which
-within each lane is exactly the scalar engine's tile order).  Every
-lane is flit-for-flit identical to a scalar run with the same flows,
-which ``tests/noc/test_batch_engine.py`` pins against the legacy
-:class:`~repro.noc.cycle.CycleNocSimulator` oracle.
+:class:`BatchedNocEngine` is the fast path of the flit-level cycle
+model: a flit-for-flit equivalent reimplementation of the legacy
+object-per-flit :class:`~repro.noc.cycle.CycleNocSimulator` that keeps
+the whole network state in preallocated numpy int arrays (circular
+input FIFOs of packet ids and flit indices, per-port head/occupancy,
+wormhole assignment/ownership and round-robin pointers) and runs each
+cycle phase - injection, route computation, arbitration, commit - as a
+handful of vectorised array operations.
+:class:`~repro.noc.engine.ArrayNocEngine` is its one-lane view.
+
+It advances ``S`` *independent* mesh simulations at once.  A batch of S
+independent ``n``-tile meshes is exactly one *disconnected* mesh of
+``S * n`` tiles: lane ``k`` owns the tile block ``[k*n, (k+1)*n)``, the
+downstream-lookup tables are the block-diagonal tiling of the
+single-mesh tables (``neighbor + k*n``), and no array operation ever
+couples tiles of different blocks.  ``np.nonzero`` scan order is
+lane-major, then tile-ascending, which within each lane is exactly the
+legacy simulator's tile order.
+
+The commit can be vectorised *exactly* because the legacy move loop is
+order-independent: an input port wins at most one output per cycle (so
+pops never collide), a downstream input port has exactly one upstream
+``(tile, output)`` (so pushes never collide), and a circular FIFO's
+append slot ``head + occupancy`` is invariant under its own pop.  Every
+lane is flit-for-flit identical to a legacy run with the same flows,
+which ``tests/noc/test_batch_engine.py`` pins for every routing policy.
+
+Route computation takes one of two paths:
+
+* **context-free policies** (XY, west-first, odd-even -
+  ``RoutingAlgorithm.context_free``) are served from one lazily built
+  per-(tile, destination) route table shared by every lane;
+* **adaptive policies** (PANR, ICON) call ``routing.select`` once per
+  head flit with a :class:`RoutingContext` assembled from cached
+  per-tile neighbour maps: each lane's PSN field (static between
+  :meth:`BatchedNocEngine.set_psn` calls) and its data rates (refreshed
+  once per measurement window).  Decisions only read occupancies from
+  before the cycle's commit, so their loop order cannot change results.
 
 What batching buys (measured in ``python -m repro bench``,
-``noc_engine_batch_speedup``): the scalar engine's per-cycle python
-overhead - ~20 numpy call dispatches plus the backlog/injection python
-loops - is paid *once per batch cycle* instead of once per lane cycle,
-and the per-engine route-table build is paid once instead of S times.
-At 32 lanes the fixed costs amortise to ~3% each, so the batch runs
-the whole sweep in roughly the wall-time of its busiest lane.
-
-Scope: **context-free routing only** (XY, west-first, odd-even).
-Adaptive policies (PANR, ICON) make per-decision choices from local
-congestion context, which the batched route phase does not assemble;
-:func:`simulate_lanes` transparently falls back to one
-:class:`ArrayNocEngine` per lane for those.  Per-lane PSN fields are
-carried for API parity (and :meth:`set_psn` updates one lane without
-touching its siblings) but, as in the scalar engine, context-free
-policies never read them.
+``noc_engine_batch_speedup``): the per-cycle python overhead - ~20
+numpy call dispatches plus the injection and backlog bookkeeping - is
+paid *once per batch cycle* instead of once per lane cycle, and the
+route-table build is paid once instead of S times.  At 32 lanes the
+fixed costs amortise to ~3% each, so the batch runs the whole sweep in
+roughly the wall-time of its busiest lane.  Adaptive lanes keep their
+per-decision ``select`` calls, so batching them saves only the shared
+phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.chip.mesh import MeshGeometry
 from repro.noc.cycle.simulator import NocSimStats, TrafficFlow
-from repro.noc.engine import ArrayNocEngine
 from repro.noc.routing.base import RoutingAlgorithm, RoutingContext
 from repro.noc.topology import (
     Direction,
@@ -74,44 +89,45 @@ class BatchedNocEngine:
     """S independent mesh simulations as one flat lock-step engine.
 
     Each lane is a full, isolated copy of the mesh: its own traffic
-    flows, injection accumulators, FIFOs, wormhole state and stats.
-    :meth:`run` advances every lane the same number of cycles and
-    returns one :class:`NocSimStats` per lane, each byte-identical to
-    what ``ArrayNocEngine(mesh, routing, ...).run(lane_flows, cycles)``
-    (and hence the legacy oracle) produces for that lane's traffic.
+    flows, injection accumulators, FIFOs, wormhole state, PSN field,
+    data-rate window and stats.  :meth:`run` advances every lane the
+    same number of cycles and returns one :class:`NocSimStats` per
+    lane, each byte-identical to what the legacy
+    :class:`~repro.noc.cycle.CycleNocSimulator` produces for that
+    lane's traffic and PSN field.
 
     Args:
         mesh: Tile mesh (shared by every lane).
-        routing: A **context-free** routing policy
-            (``routing.context_free`` must be true); adaptive policies
-            must run per-lane - see :func:`simulate_lanes`.
+        routing: Routing policy (shared by every lane).
         n_lanes: Number of independent simulations ``S``.
         buffer_depth: Input FIFO depth in flits.
-        psn_pct: Optional PSN sensor readings: ``(n,)`` applies the
-            same field to every lane, ``(S, n)`` gives each lane its
-            own.  Context-free policies never read PSN (API parity
-            with the scalar engine); update mid-run via
-            :meth:`set_psn`.
-        rate_window: Kept for API parity with the scalar engine; the
-            data-rate measurement feeds only adaptive routing context,
-            which this engine never assembles.
-        seeds: Optional per-lane injection seeds (API parity; the
-            accumulator injection process is deterministic).
+        psn_pct: Optional PSN sensor readings for PSN-aware policies
+            (zeros if omitted): ``(n,)`` applies the same field to
+            every lane, ``(S, n)`` gives each lane its own.  Update
+            mid-run via :meth:`set_psn`.
+        rate_window: Cycles per data-rate measurement window (read by
+            adaptive policies).
+        seeds: Optional per-lane injection seeds (kept for API parity;
+            the accumulator injection process is deterministic).
         topology: Optional pre-built :class:`MeshTopology` to adopt
             (never mutated); must match ``mesh``.
         route_table: Optional complete ``(n, n)`` int8 route table for
-            ``routing`` (see :func:`repro.noc.engine.build_route_table`).
-            Adopted as-is - including read-only shared-memory views -
-            and shared by every lane, so one warm-pool table serves
-            the whole batch.
+            a context-free ``routing`` (see
+            :func:`repro.noc.engine.build_route_table`).  Adopted
+            as-is - including read-only shared-memory views - and
+            shared by every lane, so one warm-pool table serves the
+            whole batch.  Its values must equal what the lazy builder
+            would produce, so results are byte-identical with or
+            without it.  Adaptive policies have no table and reject
+            one.
     """
 
-    #: Topology-derived lookup tables, read-only once built: the same
-    #: contract (and mostly the same names) as ArrayNocEngine, so the
-    #: parmlint shared-readonly rule covers both engines with one
-    #: declaration set.  _tile_lane/_tile_local are the batch-specific
-    #: flat-index decompositions (flat tile -> lane, flat tile ->
-    #: in-mesh tile).
+    #: Topology-derived lookup tables that the warm-worker-pool plan
+    #: maps into shared memory: read-only once built.  parmlint's
+    #: shared-readonly rule flags any write outside __init__ and the
+    #: lazy route-table builder declared below (see docs/lint.md).
+    #: _tile_lane/_tile_local are the flat-index decompositions (flat
+    #: tile -> lane, flat tile -> in-mesh tile).
     __shared_readonly__ = (
         "_down_tile",
         "_down_port",
@@ -145,11 +161,9 @@ class BatchedNocEngine:
             raise ValueError("n_lanes must be at least 1")
         if buffer_depth < 1:
             raise ValueError("buffer_depth must be at least 1")
-        if not routing.context_free:
+        if route_table is not None and not routing.context_free:
             raise ValueError(
-                "BatchedNocEngine batches context-free policies only; "
-                "run adaptive policies one lane at a time "
-                "(see repro.noc.batch.simulate_lanes)"
+                "route tables exist only for context-free policies"
             )
         if topology is None:
             self._topo = MeshTopology(mesh)
@@ -181,6 +195,7 @@ class BatchedNocEngine:
                     "psn_pct must be (tiles,) shared or (lanes, tiles)"
                 )
         self._rate_window = rate_window
+        self._rates = np.zeros(flat)
         if seeds is not None and len(seeds) != s:
             raise ValueError("seeds must have one entry per lane")
         self._seeds = tuple(seeds) if seeds is not None else tuple([0] * s)
@@ -188,8 +203,7 @@ class BatchedNocEngine:
         self._next_packet_id = 0
 
         # --- structure-of-arrays network state -------------------------
-        # Identical layout to ArrayNocEngine with `flat = S * n` tiles:
-        # lane k owns rows [k*n, (k+1)*n).
+        # `flat = S * n` tiles: lane k owns rows [k*n, (k+1)*n).
         self._buf_pkt_id = np.full(
             (flat, _N_PORTS, buffer_depth), -1, np.int64
         )
@@ -246,7 +260,9 @@ class BatchedNocEngine:
         self._pkt_size_flits = np.zeros(_MIN_PACKET_CAPACITY, np.int64)
         self._pkt_inject_cycle = np.zeros(_MIN_PACKET_CAPACITY, np.int64)
 
-        # Route table: one (n, n) local table shared by every lane.
+        # Route table: one (n, n) local table shared by every lane
+        # (context-free policies only).
+        self._route_table: Optional[np.ndarray] = None
         if route_table is not None:
             if route_table.shape != (n, n):
                 raise ValueError("adopted route table has the wrong shape")
@@ -254,10 +270,30 @@ class BatchedNocEngine:
                 raise ValueError("adopted route table must be int8")
             self._route_table = route_table
             self._table_built = np.ones(n, bool)
-        else:
+        elif routing.context_free:
             self._route_table = np.full((n, n), -1, np.int8)
             self._table_built = np.zeros(n, bool)
         self._empty_ctx = RoutingContext()
+        # Adaptive-policy context caches: per-flat-tile static adjacency
+        # (Direction, flat neighbour tile, neighbour's input port code)
+        # and the per-tile neighbour PSN / data-rate dicts, rebuilt on
+        # set_psn and once per rate window respectively.
+        self._adjacency: List[Tuple[Tuple[Direction, int, int], ...]] = []
+        if self._route_table is None:
+            self._adjacency = [
+                tuple(
+                    (
+                        d,
+                        self._topo.neighbor(t, d) + base,
+                        OPPOSITE_CODES[PORT_CODES[d]],
+                    )
+                    for d in self._topo.out_directions(t)
+                )
+                for base in range(0, flat, n)
+                for t in range(n)
+            ]
+        self._psn_dicts: Optional[List[Dict[Direction, float]]] = None
+        self._rate_dicts: Optional[List[Dict[Direction, float]]] = None
 
     @property
     def topology(self) -> MeshTopology:
@@ -272,10 +308,12 @@ class BatchedNocEngine:
     ) -> None:
         """Replace PSN sensor readings mid-run.
 
-        With ``lane`` given, only that lane's ``(n,)`` field changes -
-        sibling lanes are untouched.  Without it, a ``(S, n)`` array
-        replaces every lane's field and a ``(n,)`` array is applied to
-        all lanes (2-D input is always read as per-lane).
+        PSN-aware policies see the new readings from the next routing
+        decision on, mirroring a sensor-network refresh between control
+        epochs.  With ``lane`` given, only that lane's ``(n,)`` field
+        changes - sibling lanes are untouched.  Without it, a ``(S, n)``
+        array replaces every lane's field and a ``(n,)`` array is
+        applied to all lanes (2-D input is always read as per-lane).
         """
         psn = np.asarray(psn_pct, float)
         n = self._n_local
@@ -293,6 +331,7 @@ class BatchedNocEngine:
             raise ValueError(
                 "psn_pct must be (tiles,) shared or (lanes, tiles)"
             )
+        self._psn_dicts = None
 
     # ------------------------------------------------------------------
 
@@ -303,9 +342,20 @@ class BatchedNocEngine:
     ) -> List[NocSimStats]:
         """Advance every lane ``cycles`` cycles; one stats per lane.
 
-        ``flows[k]`` is lane ``k``'s offered traffic, exactly as the
-        scalar engine's :meth:`ArrayNocEngine.run` takes it.
+        ``flows[k]`` is lane ``k``'s offered traffic.  In-flight flits,
+        wormhole state and data rates carry over between calls; flits
+        still waiting in a source backlog when a call ends are dropped.
         """
+        return self._run(flows, cycles)
+
+    def _run(
+        self,
+        flows: Sequence[Sequence[TrafficFlow]],
+        cycles: int,
+    ) -> List[NocSimStats]:
+        # The body behind both engines' public ``run`` (ArrayNocEngine
+        # calls it with one lane), so wrapping either entry point never
+        # nests the other inside it.
         if cycles < 1:
             raise ValueError("cycles must be at least 1")
         if len(flows) != self._n_lanes:
@@ -339,19 +389,18 @@ class BatchedNocEngine:
         flow_src = np.array(flow_src_l, np.int64)
         flow_dst = np.array(flow_dst_l, np.int64)
         flow_lane = np.array(flow_lane_l, np.int64)
-        if flow_dst_l:
+        adaptive = self._route_table is None
+        if flow_dst_l and not adaptive:
             # Pre-build the route-table columns this run can need, so
             # the per-cycle fast path is a single gather.
             self._build_route_columns(np.unique(flow_dst))
         # Per-source backlog of injected-but-not-yet-buffered flits, as
         # ring buffers over flat sources: (pkt id, flit index) per
         # queued flit, with absolute read/write cursors (slot =
-        # cursor % capacity).  Functionally the scalar engine's
-        # per-source deque + `pushed` partial-packet counter, but
+        # cursor % capacity): the legacy per-source packet deque,
         # drained with repeat/cumsum index arithmetic instead of a
-        # per-flit python loop.  Like the scalar engine's, the backlog
-        # is run-local: flits still queued when the run ends are
-        # dropped.
+        # per-flit python loop.  Like the legacy one, the backlog is
+        # run-local: flits still queued when the run ends are dropped.
         bl_cap = 64
         bl_pkt = np.zeros((self._n_tiles, bl_cap), np.int64)
         bl_fidx = np.zeros((self._n_tiles, bl_cap), np.int64)
@@ -362,6 +411,9 @@ class BatchedNocEngine:
         pk_del = np.zeros(s, np.int64)
         lat_lanes: List[np.ndarray] = []
         lat_vals: List[np.ndarray] = []
+        # Flits received per flat tile in the current data-rate window
+        # (run-local, like the legacy simulator's; the rates persist).
+        window_in_flits = np.zeros(self._n_tiles)
         depth = self._depth
         flat = self._n_tiles
         occ = self._occ_flits
@@ -376,15 +428,15 @@ class BatchedNocEngine:
             self._cycle += 1
             # --- injection (vectorised flow accumulators) --------------
             # One vector add covers every lane's accumulators.  The
-            # scalar engine then emits packets per triggered flow with
-            # a repeated-subtraction loop (`while acc >= size: acc -=
-            # size`); every one of those subtractions is *exact* in
-            # float64 (the subtrahend is a small integer and the
+            # legacy simulator then emits packets per triggered flow
+            # with a repeated-subtraction loop (`while acc >= size:
+            # acc -= size`); every one of those subtractions is *exact*
+            # in float64 (the subtrahend is a small integer and the
             # result's ulp can only shrink), so the loop's packet count
             # is the true floor(acc / size) and its final accumulator
             # is acc - count * size.  Computing both directly - with a
             # +-1 correction for the division's last-ulp rounding -
-            # reproduces the scalar emission bit-for-bit without the
+            # reproduces the legacy emission bit-for-bit without the
             # python loop.
             if n_flows:
                 np.add(acc, flow_rate, out=acc)
@@ -405,7 +457,7 @@ class BatchedNocEngine:
                     acc[trig] = rem
                     np.add.at(injected, flow_lane[trig], k)
                     # Packet ids are allocated in ascending flow order
-                    # (np.nonzero order == the scalar loop's order),
+                    # (np.nonzero order == the legacy loop's order),
                     # then expanded to one backlog entry per flit.
                     pkt_src = np.repeat(flow_src[trig], k)
                     pkt_sizes = np.repeat(tr_size, k)
@@ -454,9 +506,8 @@ class BatchedNocEngine:
             # Stream backlog flits into the LOCAL ports as space
             # permits, in strict per-source FIFO order (a packet may
             # straddle cycles; the ring's flit indices carry the
-            # partial-packet position the scalar engine tracks in
-            # `pushed`).  One repeat/cumsum expansion plans every push
-            # in the batch; one scatter commits them.
+            # partial-packet position).  One repeat/cumsum expansion
+            # plans every push in the batch; one scatter commits them.
             pend = bl_wr - bl_rd
             if pend.any():
                 act = np.nonzero(pend)[0]
@@ -504,11 +555,16 @@ class BatchedNocEngine:
                             "body flit without wormhole route"
                         )
                     dsts = self._pkt_dst[head_pkt[t_idx, p_idx]]
-                    # One (n, n) table serves every lane: row = the
-                    # tile's in-mesh id, column = in-mesh destination.
-                    assigned[t_idx, p_idx] = self._route_table[
-                        self._tile_local.take(t_idx), dsts
-                    ]
+                    if adaptive:
+                        assigned[t_idx, p_idx] = self._route_adaptive(
+                            t_idx, p_idx, dsts
+                        )
+                    else:
+                        # One (n, n) table serves every lane: row = the
+                        # tile's in-mesh id, column = in-mesh dst.
+                        assigned[t_idx, p_idx] = self._route_table[
+                            self._tile_local.take(t_idx), dsts
+                        ]
 
                 # Arbitration without the (tiles, out, in) tensor: an
                 # input port requests exactly one output (its wormhole
@@ -572,7 +628,7 @@ class BatchedNocEngine:
                     owner.put(mvs[claim], mi[claim])
                     # Ejections: winners come out flat-tile ascending =
                     # lane-major, so each lane's latencies append in
-                    # its own scalar-engine order.
+                    # its own legacy order.
                     local = mo == _LOCAL
                     done = local & is_tail
                     if local.any():
@@ -601,9 +657,18 @@ class BatchedNocEngine:
                     self._buf_pkt_id.put(buf_idx, pkts[fwd])
                     self._buf_flit_idx.put(buf_idx, fidx[fwd])
                     occ.put(ds_idx, occ.take(ds_idx) + 1)
-            # (No data-rate measurement window: rates feed only
-            # adaptive routing context, which this engine never
-            # assembles - context-free decisions cannot observe them.)
+                    if adaptive:
+                        window_in_flits += np.bincount(
+                            self._down_tile.take(mvs[fwd]), minlength=flat
+                        )
+
+            # --- data-rate measurement window --------------------------
+            # Only adaptive policies read the rates, so context-free
+            # runs skip the bookkeeping.
+            if adaptive and self._cycle % self._rate_window == 0:
+                self._rates = window_in_flits / self._rate_window
+                window_in_flits = np.zeros(flat)
+                self._rate_dicts = None
 
         # --- per-lane stats splits ------------------------------------
         if lat_lanes:
@@ -616,12 +681,12 @@ class BatchedNocEngine:
         for lane in range(s):
             stats = NocSimStats(
                 cycles=cycles,
-                packets_injected=injected[lane],
+                packets_injected=int(injected[lane]),
                 packets_delivered=int(pk_del[lane]),
                 flits_delivered=int(flits_del[lane]),
             )
             # Boolean masking is order-preserving, so this is the
-            # lane's chronological (scalar-order) latency list.
+            # lane's chronological (legacy-order) latency list.
             stats.packet_latencies.extend(
                 lats_all[lanes_all == lane].tolist()
             )
@@ -686,11 +751,7 @@ class BatchedNocEngine:
         return new_cap, new_pkt, new_fidx
 
     def _build_route_columns(self, dsts: np.ndarray) -> None:
-        """Fill route-table columns for the given in-mesh destinations.
-
-        Byte-for-byte the scalar engine's builder over the single
-        ``(n, n)`` table that all lanes share.
-        """
+        """Fill route-table columns for the given in-mesh destinations."""
         n = self._n_local
         rows = np.arange(n)
         edge_ok_local = self._edge_ok[:n]
@@ -717,10 +778,56 @@ class BatchedNocEngine:
             self._route_table[:, dst] = col
             self._table_built[dst] = True
 
+    def _route_adaptive(
+        self, t_idx: np.ndarray, p_idx: np.ndarray, dsts: np.ndarray
+    ) -> np.ndarray:
+        """Per-decision routing of head flits at flat ``(t_idx, p_idx)``.
+
+        ``dsts`` are in-mesh destinations; ``routing.select`` sees the
+        in-mesh tile and the tile's own lane context.
+        """
+        if self._psn_dicts is None:
+            psn = self._psn.ravel().tolist()
+            self._psn_dicts = [
+                {d: psn[nb] for d, nb, _ in adj} for adj in self._adjacency
+            ]
+        if self._rate_dicts is None:
+            rates = self._rates.tolist()
+            self._rate_dicts = [
+                {d: rates[nb] for d, nb, _ in adj} for adj in self._adjacency
+            ]
+        occ = self._occ_flits
+        depth = self._depth
+        n = self._n_local
+        out = np.empty(len(t_idx), np.int64)
+        for k, (tile, port, dst) in enumerate(
+            zip(t_idx.tolist(), p_idx.tolist(), dsts.tolist())
+        ):
+            local = tile % n
+            if dst == local:
+                out[k] = _LOCAL
+                continue
+            ctx = RoutingContext(
+                buffer_occupancy=int(occ[tile, port]) / depth,
+                neighbor_data_rate=self._rate_dicts[tile],
+                neighbor_psn_pct=self._psn_dicts[tile],
+                out_link_rho={
+                    d: int(occ[nb, opp]) / depth
+                    for d, nb, opp in self._adjacency[tile]
+                },
+            )
+            code = PORT_CODES[
+                self._routing.select(self._topo, local, dst, ctx)
+            ]
+            if not self._edge_ok[tile, code]:
+                raise RuntimeError(f"route off mesh edge at tile {local}")
+            out[k] = code
+        return out
+
 
 @dataclass(frozen=True)
 class LaneSpec:
-    """One lane of a batched (or per-lane fallback) simulation.
+    """One lane of a batched simulation.
 
     Args:
         flows: The lane's offered traffic.
@@ -751,54 +858,34 @@ def simulate_lanes(
     topology: Optional[MeshTopology] = None,
     route_table: Optional[np.ndarray] = None,
 ) -> List[NocSimStats]:
-    """Simulate independent lanes, batched when the policy allows it.
+    """Simulate independent lanes in one :class:`BatchedNocEngine` pass.
 
-    Context-free policies run every lane in **one**
-    :class:`BatchedNocEngine` pass; adaptive policies (which the
-    batched engine rejects) fall back to a fresh
-    :class:`ArrayNocEngine` per lane.  Both paths produce stats
-    flit-for-flit identical to scalar runs, so callers need not care
-    which path served them.
+    Every lane's stats are flit-for-flit identical to a legacy run with
+    that lane's flows, seed and PSN field, for any routing policy.
 
     Args:
         mesh: Tile mesh shared by every lane.
-        routing: Routing policy (any; batching applies when
-            ``routing.context_free``).
+        routing: Routing policy shared by every lane.
         lanes: Per-lane traffic/seed/PSN specs.
         cycles: Cycles to advance every lane.
         buffer_depth: Input FIFO depth in flits.
-        rate_window: Data-rate window (adaptive lanes only).
+        rate_window: Data-rate window (read by adaptive policies).
         topology: Optional pre-built topology to adopt.
         route_table: Optional shared ``(n, n)`` route table
-            (context-free only).
+            (context-free policies only).
     """
     if not lanes:
         return []
     n = mesh.tile_count
-    if routing.context_free:
-        psn = np.stack([spec.psn_array(n) for spec in lanes])
-        engine = BatchedNocEngine(
-            mesh,
-            routing,
-            n_lanes=len(lanes),
-            buffer_depth=buffer_depth,
-            psn_pct=psn,
-            rate_window=rate_window,
-            seeds=[spec.seed for spec in lanes],
-            topology=topology,
-            route_table=route_table,
-        )
-        return engine.run([spec.flows for spec in lanes], cycles)
-    results: List[NocSimStats] = []
-    for spec in lanes:
-        engine = ArrayNocEngine(
-            mesh,
-            routing,
-            buffer_depth=buffer_depth,
-            psn_pct=spec.psn_array(n),
-            rate_window=rate_window,
-            seed=spec.seed,
-            topology=topology,
-        )
-        results.append(engine.run(list(spec.flows), cycles))
-    return results
+    engine = BatchedNocEngine(
+        mesh,
+        routing,
+        n_lanes=len(lanes),
+        buffer_depth=buffer_depth,
+        psn_pct=np.stack([spec.psn_array(n) for spec in lanes]),
+        rate_window=rate_window,
+        seeds=[spec.seed for spec in lanes],
+        topology=topology,
+        route_table=route_table,
+    )
+    return engine.run([spec.flows for spec in lanes], cycles)

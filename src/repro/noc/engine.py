@@ -1,80 +1,35 @@
-"""Structure-of-arrays cycle engine for the mesh NoC.
+"""Single-mesh cycle engine: the one-lane view of the batched engine.
 
-:class:`ArrayNocEngine` is a drop-in, flit-for-flit equivalent
-reimplementation of :class:`repro.noc.cycle.CycleNocSimulator`.  The
-legacy simulator walks Python objects - one ``Flit`` per flit, one
-``deque`` per input port, enum-keyed dicts per router - every cycle;
-this engine keeps the entire network state in preallocated numpy int
-arrays and runs each cycle phase as a handful of vectorised array
-operations:
-
-* **input FIFOs** are circular buffers ``(tiles, ports, depth)`` of
-  packet ids and flit indices, with per-port head-slot and occupancy
-  arrays (credits are ``depth - occupancy``);
-* **wormhole state** (assigned output, output owner, round-robin
-  pointer) is one ``(tiles, ports)`` int array each;
-* **injection** accumulates fractional flits for all traffic flows with
-  one vector add per cycle;
-* **route computation** takes fast paths: context-free policies
-  (XY, west-first, odd-even - ``RoutingAlgorithm.context_free``) are
-  served from a lazily built per-(tile, destination) route table, and
-  adaptive policies (PANR, ICON) get their :class:`RoutingContext`
-  assembled from cached per-tile neighbour maps (PSN static, data
-  rates refreshed once per measurement window) instead of per-call
-  topology walks;
-* **switch traversal** - arbitration and the credit check run as
-  boolean tensor operations over ``(tiles, out ports, in ports)``, and
-  the winning moves commit with vectorised scatter/gather.
-
-The commit can be vectorised *exactly* because the legacy move loop is
-order-independent: an input port wins at most one output per cycle (so
-pops never collide), a downstream input port has exactly one upstream
-``(tile, output)`` (so pushes never collide and the legacy re-check can
-never fail), and a circular FIFO's append slot ``head + occupancy`` is
-invariant under its own pop.  Arbitration, credits and wormhole
-semantics therefore match the legacy simulator decision for decision -
-``tests/noc/test_engine.py`` pins stats equality across every routing
-policy, mesh size and load level.
+:class:`ArrayNocEngine` is the structure-of-arrays fast path of the
+flit-level cycle model for one mesh - a drop-in, flit-for-flit
+equivalent of the legacy :class:`repro.noc.cycle.CycleNocSimulator`
+with the same constructor and :meth:`~ArrayNocEngine.run` contract.
+It is :class:`~repro.noc.batch.BatchedNocEngine` with a single lane,
+so both engines share one implementation of the injection, route,
+arbitration and commit phases (see :mod:`repro.noc.batch`), and the
+legacy simulator stays the independent oracle:
+``tests/noc/test_noc_engine.py`` pins stats equality across every
+routing policy, mesh size and load level.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.chip.mesh import MeshGeometry
+from repro.noc.batch import BatchedNocEngine
 from repro.noc.cycle.simulator import NocSimStats, TrafficFlow
-from repro.noc.routing.base import RoutingAlgorithm, RoutingContext
-from repro.noc.topology import (
-    Direction,
-    MeshTopology,
-    OPPOSITE_CODES,
-    PORT_CODES,
-    PORT_DIRECTIONS,
-)
-
-#: Port code of the LOCAL (injection/ejection) port.
-_LOCAL = PORT_CODES[Direction.LOCAL]
-
-_N_PORTS = len(PORT_DIRECTIONS)
-
-#: Arbitration key for non-candidates; larger than any round-robin
-#: distance ``(port - pointer) % 5``.
-_NO_CANDIDATE = _N_PORTS + 1
-
-#: Initial capacity of the per-packet metadata arrays.
-_MIN_PACKET_CAPACITY = 1024
+from repro.noc.routing.base import RoutingAlgorithm
+from repro.noc.topology import MeshTopology
 
 
-class ArrayNocEngine:
-    """Array-based mesh NoC cycle engine (fast path of the cycle model).
+class ArrayNocEngine(BatchedNocEngine):
+    """Array-based mesh NoC cycle engine for one mesh.
 
     Constructor signature, semantics and produced :class:`NocSimStats`
-    are identical to :class:`repro.noc.cycle.CycleNocSimulator`; the
-    legacy class remains the readable reference implementation that the
-    equivalence suite pins this engine against.
+    are identical to :class:`repro.noc.cycle.CycleNocSimulator`.
 
     Args:
         mesh: Tile mesh.
@@ -91,31 +46,10 @@ class ArrayNocEngine:
             tables, across every engine a worker builds).  Must match
             ``mesh``; never mutated.
         route_table: Optional complete ``(n, n)`` int8 route table for
-            a context-free ``routing`` (see :func:`build_route_table`).
-            Adopted as-is - including read-only shared-memory views -
-            and marked fully built, so the lazy builder never writes
-            to it.  The values must equal what the lazy builder would
-            produce (same policy, same mesh), so results are
-            byte-identical with or without it.
+            a context-free ``routing`` (see :func:`build_route_table`);
+            adopted as-is, so results are byte-identical with or
+            without it.
     """
-
-    #: Topology-derived lookup tables that the warm-worker-pool plan
-    #: maps into shared memory: read-only once built.  parmlint's
-    #: shared-readonly rule flags any write outside __init__ and the
-    #: lazy route-table builder declared below (see docs/lint.md).
-    __shared_readonly__ = (
-        "_down_tile",
-        "_down_port",
-        "_down_flat",
-        "_edge_ok",
-        "_rr_key_table",
-        "_flat_slot_base",
-        "_route_table",
-        "_table_built",
-    )
-    #: _route_table/_table_built columns are filled lazily, one
-    #: destination at a time, by this builder.
-    __shared_readonly_init__ = ("_build_route_columns",)
 
     def __init__(
         self,
@@ -128,444 +62,21 @@ class ArrayNocEngine:
         topology: Optional[MeshTopology] = None,
         route_table: Optional[np.ndarray] = None,
     ):
-        if buffer_depth < 1:
-            raise ValueError("buffer_depth must be at least 1")
-        if topology is None:
-            self._topo = MeshTopology(mesh)
-        else:
-            if (
-                topology.mesh.width != mesh.width
-                or topology.mesh.height != mesh.height
-            ):
-                raise ValueError("adopted topology does not match the mesh")
-            self._topo = topology
-        self._routing = routing
-        self._depth = buffer_depth
-        n = mesh.tile_count
-        self._n_tiles = n
-        self._psn = (
-            np.zeros(n) if psn_pct is None else np.asarray(psn_pct)
+        super().__init__(
+            mesh,
+            routing,
+            n_lanes=1,
+            buffer_depth=buffer_depth,
+            psn_pct=psn_pct,
+            rate_window=rate_window,
+            seeds=[seed],
+            topology=topology,
+            route_table=route_table,
         )
-        if self._psn.shape != (n,):
-            raise ValueError("psn_pct must have one entry per tile")
-        self._rate_window = rate_window
-        self._rates = np.zeros(n)
-        self._rng = np.random.default_rng(seed)
-        self._cycle = 0
-        self._next_packet_id = 0
-
-        # --- structure-of-arrays network state -------------------------
-        # Input FIFOs: circular buffers of (packet id, flit index).
-        self._buf_pkt_id = np.full((n, _N_PORTS, buffer_depth), -1, np.int64)
-        self._buf_flit_idx = np.zeros((n, _N_PORTS, buffer_depth), np.int64)
-        self._head_slot = np.zeros((n, _N_PORTS), np.int64)
-        self._occ_flits = np.zeros((n, _N_PORTS), np.int64)
-        # Wormhole route state per input port / output port.
-        self._assigned_out = np.full((n, _N_PORTS), -1, np.int64)
-        self._wormhole_owner = np.full((n, _N_PORTS), -1, np.int64)
-        self._rr_next = np.zeros((n, _N_PORTS), np.int64)
-        #: Flits forwarded per router (all ports), for activity stats.
-        self._fwd_flits = np.zeros(n, np.int64)
-
-        # Downstream lookup per (tile, output port code): the receiving
-        # tile and its input port.  Off-mesh entries are clamped to 0
-        # and rejected at route time via _edge_ok, so no gather ever
-        # reads them.
-        neigh = self._topo.neighbor_codes()
-        self._edge_ok = neigh >= 0
-        self._down_tile = np.where(self._edge_ok, neigh, 0)
-        self._down_port = np.broadcast_to(
-            np.asarray(OPPOSITE_CODES, np.int64), (n, _N_PORTS)
-        ).copy()
-        self._is_local_col = (
-            np.arange(_N_PORTS) == _LOCAL
-        )  # broadcast over (tiles, out ports)
-        # Flat (tile, port) index of each output's downstream input
-        # port, for one-shot `take` gathers of downstream occupancy.
-        self._down_flat = (
-            self._down_tile * _N_PORTS + self._down_port
-        ).ravel()
-        # Round-robin arbitration distance (in_port - pointer) % 5,
-        # tabulated so the per-cycle key is one gather.
-        self._rr_key_table = np.array(
-            [
-                [(i - r) % _N_PORTS for i in range(_N_PORTS)]
-                for r in range(_N_PORTS)
-            ],
-            np.int64,
-        )
-        # Flat-index base for gathering FIFO head entries with `take`.
-        self._flat_slot_base = np.arange(n * _N_PORTS, dtype=np.int64) * (
-            buffer_depth
-        )
-
-        # Per-packet metadata, grown by doubling.
-        self._pkt_dst = np.zeros(_MIN_PACKET_CAPACITY, np.int64)
-        self._pkt_size_flits = np.zeros(_MIN_PACKET_CAPACITY, np.int64)
-        self._pkt_inject_cycle = np.zeros(_MIN_PACKET_CAPACITY, np.int64)
-
-        # Route-table fast path for context-free policies.
-        if routing.context_free:
-            if route_table is not None:
-                if route_table.shape != (n, n):
-                    raise ValueError(
-                        "adopted route table has the wrong shape"
-                    )
-                if route_table.dtype != np.int8:
-                    raise ValueError("adopted route table must be int8")
-                self._route_table: Optional[np.ndarray] = route_table
-                self._table_built = np.ones(n, bool)
-            else:
-                self._route_table = np.full((n, n), -1, np.int8)
-                self._table_built = np.zeros(n, bool)
-        else:
-            if route_table is not None:
-                raise ValueError(
-                    "route tables exist only for context-free policies"
-                )
-            self._route_table = None
-        # Adaptive-policy context caches: per-tile static adjacency
-        # (Direction, neighbour tile, neighbour's input port code) and
-        # the shared neighbour PSN / data-rate dicts.
-        self._adjacency: List[Tuple[Tuple[Direction, int, int], ...]] = [
-            tuple(
-                (d, self._topo.neighbor(t, d), OPPOSITE_CODES[PORT_CODES[d]])
-                for d in self._topo.out_directions(t)
-            )
-            for t in range(n)
-        ]
-        self._psn_dicts: Optional[List[Dict[Direction, float]]] = None
-        self._rate_dicts: Optional[List[Dict[Direction, float]]] = None
-        self._empty_ctx = RoutingContext()
-
-    @property
-    def topology(self) -> MeshTopology:
-        return self._topo
-
-    def set_psn(self, psn_pct: np.ndarray) -> None:
-        """Replace the per-tile PSN sensor readings mid-run.
-
-        PSN-aware policies see the new readings from the next routing
-        decision on, mirroring a sensor-network refresh between control
-        epochs.
-        """
-        psn = np.asarray(psn_pct)
-        if psn.shape != (self._n_tiles,):
-            raise ValueError("psn_pct must have one entry per tile")
-        self._psn = psn
-        self._psn_dicts = None
-
-    # ------------------------------------------------------------------
 
     def run(self, flows: Sequence[TrafficFlow], cycles: int) -> NocSimStats:
         """Simulate ``cycles`` cycles of the given offered traffic."""
-        if cycles < 1:
-            raise ValueError("cycles must be at least 1")
-        for f in flows:
-            self._topo.mesh._check_tile(f.src)
-            self._topo.mesh._check_tile(f.dst)
-            if f.src == f.dst:
-                raise ValueError("flows must cross the network (src != dst)")
-
-        n_flows = len(flows)
-        acc = np.zeros(n_flows)
-        flow_rate = np.array([f.rate for f in flows], float)
-        flow_size = np.array([f.packet_size for f in flows], np.int64)
-        flow_src = [f.src for f in flows]
-        flow_dst = [f.dst for f in flows]
-        if self._route_table is not None and flow_dst:
-            # Pre-build the route-table columns this run can need, so
-            # the per-cycle fast path is a single gather.
-            self._build_route_columns(np.unique(np.array(flow_dst)))
-        backlog: Dict[int, Deque[Tuple[int, int]]] = {}
-        pushed: Dict[int, int] = {}
-        stats = NocSimStats(
-            cycles=cycles,
-            packets_injected=0,
-            packets_delivered=0,
-            flits_delivered=0,
-        )
-        latencies = stats.packet_latencies
-        window_in_flits = np.zeros(self._n_tiles)
-        depth = self._depth
-        occ = self._occ_flits
-        head_slot = self._head_slot
-        assigned = self._assigned_out
-        owner = self._wormhole_owner
-        out_codes = np.arange(_N_PORTS)[None, :, None]
-        in_codes = np.arange(_N_PORTS)[None, None, :]
-
-        for _ in range(cycles):
-            self._cycle += 1
-            # --- injection (vectorised flow accumulators) --------------
-            if n_flows:
-                np.add(acc, flow_rate, out=acc)
-                for i in np.nonzero(acc >= flow_size)[0].tolist():
-                    remaining = float(acc[i])
-                    size = int(flow_size[i])
-                    queue = backlog.get(flow_src[i])
-                    if queue is None:
-                        queue = backlog[flow_src[i]] = deque()
-                    while remaining >= size:
-                        remaining -= size
-                        queue.append(
-                            (self._new_packet(flow_dst[i], size), size)
-                        )
-                        stats.packets_injected += 1
-                    acc[i] = remaining
-            # Stream backlog packets into the LOCAL ports as space
-            # permits (whole packets in order; a packet may straddle
-            # cycles, tracked by `pushed`).  Slots are planned in plain
-            # Python ints and committed as one scatter per cycle.
-            push_src: List[int] = []
-            push_slot: List[int] = []
-            push_pkt: List[int] = []
-            push_fidx: List[int] = []
-            occ_local: Optional[List[int]] = None
-            head_local: List[int] = []
-            for src, queue in backlog.items():
-                if not queue:
-                    continue
-                if occ_local is None:
-                    occ_local = occ[:, _LOCAL].tolist()
-                    head_local = head_slot[:, _LOCAL].tolist()
-                occl = occ_local[src]
-                free = depth - occl
-                if free <= 0:
-                    continue
-                k = pushed.get(src, 0)
-                base = head_local[src]
-                while queue and free > 0:
-                    pkt, size = queue[0]
-                    push_src.append(src)
-                    push_slot.append((base + occl) % depth)
-                    push_pkt.append(pkt)
-                    push_fidx.append(k)
-                    occl += 1
-                    free -= 1
-                    if k + 1 == size:
-                        queue.popleft()
-                        k = 0
-                    else:
-                        k += 1
-                pushed[src] = k
-            if push_src:
-                ps = np.array(push_src)
-                sl = np.array(push_slot)
-                self._buf_pkt_id[ps, _LOCAL, sl] = push_pkt
-                self._buf_flit_idx[ps, _LOCAL, sl] = push_fidx
-                occ[:, _LOCAL] += np.bincount(ps, minlength=self._n_tiles)
-
-            # --- route computation + switch traversal ------------------
-            nonempty = occ > 0
-            if nonempty.any():
-                flat_heads = self._flat_slot_base + head_slot.ravel()
-                head_pkt = self._buf_pkt_id.take(flat_heads).reshape(
-                    self._n_tiles, _N_PORTS
-                )
-                head_idx = self._buf_flit_idx.take(flat_heads).reshape(
-                    self._n_tiles, _N_PORTS
-                )
-                need = nonempty & (assigned < 0)
-                t_idx, p_idx = np.nonzero(need)
-                if len(t_idx):
-                    if (head_idx[t_idx, p_idx] != 0).any():
-                        raise RuntimeError("body flit without wormhole route")
-                    dsts = self._pkt_dst[head_pkt[t_idx, p_idx]]
-                    assigned[t_idx, p_idx] = self._route_many(
-                        t_idx, p_idx, dsts
-                    )
-
-                # Requests: every nonempty input port asks for exactly
-                # its assigned output.  req_mask[t, out, in].
-                req = np.where(nonempty, assigned, -1)
-                req_mask = req[:, None, :] == out_codes
-                # Credit check against the downstream input buffer
-                # (LOCAL ejection is always free).
-                down_free = (
-                    occ.take(self._down_flat).reshape(
-                        self._n_tiles, _N_PORTS
-                    )
-                    < depth
-                )
-                can_move = down_free | self._is_local_col
-                # Wormhole gating: an owned output only admits its
-                # owner; a free output only admits head flits.
-                head_ready = nonempty & (head_idx == 0)
-                movable = req_mask & np.where(
-                    (owner >= 0)[:, :, None],
-                    in_codes == owner[:, :, None],
-                    head_ready[:, None, :],
-                )
-                candidate = movable & can_move[:, :, None]
-                # Round-robin arbitration: smallest (port - pointer) % 5
-                # wins; the pointer advances past the winner.
-                rr_key = np.where(
-                    candidate,
-                    self._rr_key_table[self._rr_next],
-                    _NO_CANDIDATE,
-                )
-                winner = rr_key.argmin(axis=2)
-                valid = candidate.any(axis=2)
-                mt, mo = np.nonzero(valid)
-                if len(mt):
-                    mi = winner[mt, mo]
-                    self._rr_next[mt, mo] = (mi + 1) % _N_PORTS
-                    # Gather per-move data before mutating anything; an
-                    # input port wins at most one output per cycle, so
-                    # the pre-move head entries stay valid.
-                    slots = head_slot[mt, mi]
-                    pkts = head_pkt[mt, mi]
-                    fidx = head_idx[mt, mi]
-                    is_tail = fidx == self._pkt_size_flits[pkts] - 1
-                    # Pops ((tile, in port) pairs are unique).
-                    head_slot[mt, mi] = (slots + 1) % depth
-                    occ[mt, mi] -= 1
-                    self._fwd_flits += np.bincount(
-                        mt, minlength=self._n_tiles
-                    )
-                    # Wormhole bookkeeping: tails release the output,
-                    # heads of multi-flit packets claim it.
-                    assigned[mt[is_tail], mi[is_tail]] = -1
-                    owner[mt[is_tail], mo[is_tail]] = -1
-                    claim = (fidx == 0) & ~is_tail
-                    owner[mt[claim], mo[claim]] = mi[claim]
-                    # Ejections (at most one per tile per cycle, and
-                    # np.nonzero order is tile-ascending, so latencies
-                    # are recorded in the legacy move order).
-                    local = mo == _LOCAL
-                    done = local & is_tail
-                    stats.flits_delivered += int(np.count_nonzero(local))
-                    stats.packets_delivered += int(np.count_nonzero(done))
-                    latencies.extend(
-                        (
-                            self._cycle - self._pkt_inject_cycle[pkts[done]]
-                        ).tolist()
-                    )
-                    # Forwards: push into the downstream FIFO.  Each
-                    # downstream port has exactly one upstream (tile,
-                    # output), so pushes never collide, and the append
-                    # slot head+occupancy is invariant under the
-                    # port's own pop this cycle.
-                    fwd = ~local
-                    mtf = mt[fwd]
-                    mof = mo[fwd]
-                    nt = self._down_tile[mtf, mof]
-                    npt = self._down_port[mtf, mof]
-                    push = (head_slot[nt, npt] + occ[nt, npt]) % depth
-                    self._buf_pkt_id[nt, npt, push] = pkts[fwd]
-                    self._buf_flit_idx[nt, npt, push] = fidx[fwd]
-                    occ[nt, npt] += 1
-                    window_in_flits += np.bincount(
-                        nt, minlength=self._n_tiles
-                    )
-
-            # --- data-rate measurement window --------------------------
-            if self._cycle % self._rate_window == 0:
-                self._rates = window_in_flits / self._rate_window
-                window_in_flits = np.zeros(self._n_tiles)
-                self._rate_dicts = None
-
-        stats.router_flits_per_cycle = self._fwd_flits / self._cycle
-        return stats
-
-    # ------------------------------------------------------------------
-
-    def _new_packet(self, dst: int, size_flits: int) -> int:
-        pid = self._next_packet_id
-        if pid >= len(self._pkt_dst):
-            grow = len(self._pkt_dst)
-            self._pkt_dst = np.concatenate(
-                [self._pkt_dst, np.zeros(grow, np.int64)]
-            )
-            self._pkt_size_flits = np.concatenate(
-                [self._pkt_size_flits, np.zeros(grow, np.int64)]
-            )
-            self._pkt_inject_cycle = np.concatenate(
-                [self._pkt_inject_cycle, np.zeros(grow, np.int64)]
-            )
-        self._pkt_dst[pid] = dst
-        self._pkt_size_flits[pid] = size_flits
-        self._pkt_inject_cycle[pid] = self._cycle
-        self._next_packet_id += 1
-        return pid
-
-    def _route_many(
-        self, t_idx: np.ndarray, p_idx: np.ndarray, dsts: np.ndarray
-    ) -> np.ndarray:
-        """Output-port codes for head flits at ``(t_idx, p_idx)``."""
-        if self._route_table is not None:
-            if not self._table_built.take(dsts).all():
-                self._build_route_columns(np.unique(dsts))
-            return self._route_table[t_idx, dsts]
-        return self._route_adaptive(t_idx, p_idx, dsts)
-
-    def _build_route_columns(self, dsts: np.ndarray) -> None:
-        """Fill route-table columns for the given destination tiles."""
-        rows = np.arange(self._n_tiles)
-        for dst in dsts.tolist():
-            if self._table_built[dst]:
-                continue
-            col = np.array(
-                [
-                    PORT_CODES[
-                        self._routing.select(
-                            self._topo, cur, dst, self._empty_ctx
-                        )
-                    ]
-                    for cur in range(self._n_tiles)
-                ],
-                np.int8,
-            )
-            # Reject off-mesh routes at build time so the cycle loop
-            # never needs an edge guard.
-            bad = ~self._edge_ok[rows, col]
-            if bad.any():
-                tile = int(np.nonzero(bad)[0][0])
-                raise RuntimeError(f"route off mesh edge at tile {tile}")
-            self._route_table[:, dst] = col
-            self._table_built[dst] = True
-
-    def _route_adaptive(
-        self, t_idx: np.ndarray, p_idx: np.ndarray, dsts: np.ndarray
-    ) -> np.ndarray:
-        """Per-decision routing with batched context assembly."""
-        if self._psn_dicts is None:
-            self._psn_dicts = [
-                {d: float(self._psn[nb]) for d, nb, _ in adj}
-                for adj in self._adjacency
-            ]
-            self._rate_dicts = None
-        if self._rate_dicts is None:
-            self._rate_dicts = [
-                {d: float(self._rates[nb]) for d, nb, _ in adj}
-                for adj in self._adjacency
-            ]
-        occ = self._occ_flits
-        depth = self._depth
-        out = np.empty(len(t_idx), np.int64)
-        for k in range(len(t_idx)):
-            tile = int(t_idx[k])
-            dst = int(dsts[k])
-            if dst == tile:
-                out[k] = _LOCAL
-                continue
-            ctx = RoutingContext(
-                buffer_occupancy=int(occ[tile, int(p_idx[k])]) / depth,
-                neighbor_data_rate=self._rate_dicts[tile],
-                neighbor_psn_pct=self._psn_dicts[tile],
-                out_link_rho={
-                    d: int(occ[nb, opp]) / depth
-                    for d, nb, opp in self._adjacency[tile]
-                },
-            )
-            code = PORT_CODES[
-                self._routing.select(self._topo, tile, dst, ctx)
-            ]
-            if not self._edge_ok[tile, code]:
-                raise RuntimeError(f"route off mesh edge at tile {tile}")
-            out[k] = code
-        return out
+        return self._run([flows], cycles)[0]
 
 
 def build_route_table(

@@ -48,12 +48,15 @@ In full (non ``--quick``) mode on a multi-core machine the derived
 ``e2e_parallel_speedup`` and ``routing_sweep_parallel_speedup`` must
 additionally exceed 1.0x - ``--workers N`` has to actually beat
 serial; quick runs and single-core machines log the values instead.
+"Cores" are the CPUs this process may run on (:func:`usable_cpus`),
+not the machine's count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -309,8 +312,6 @@ def bench_campaign_cell(quick: bool) -> Dict[str, Dict[str, Any]]:
 
 
 def bench_e2e_sweep(quick: bool, workers: int, tmp_dir: str) -> Dict[str, Dict[str, Any]]:
-    import os
-
     from repro.harness.supervisor import CampaignSupervisor, SupervisorPolicy
 
     cells = _bench_cells(quick)
@@ -376,7 +377,7 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
         ).run(flows, cycles)
 
     # The batched pair: a context-free sweep (rates x seeds) run as a
-    # loop of fresh scalar engines - exactly what a serial sweep did
+    # loop of fresh one-lane engines - exactly what a serial sweep did
     # before batching - vs one BatchedNocEngine advancing every lane in
     # lock-step.  Full mode is the acceptance workload: 32 lanes on the
     # 8x8 mesh.
@@ -838,13 +839,11 @@ def parallel_speedup_failures(result: Dict[str, Any]) -> List[str]:
     Quick runs log the speedups without gating (their workloads are too
     small to amortise anything), and a single-core machine cannot beat
     serial throughput no matter how warm the pool is, so the
-    multi-process gates only apply when ``os.cpu_count() >= 2`` and the
+    multi-process gates only apply when ``usable_cpus() >= 2`` and the
     missing check is reported as a skip instead.  The batched-engine
     and array-model gates (:data:`BATCH_SPEEDUP_GATES`) are in-process
     vectorisation wins and are enforced on any core count.
     """
-    import os
-
     if result.get("quick"):
         return []
     failures = []
@@ -855,7 +854,7 @@ def parallel_speedup_failures(result: Dict[str, Any]) -> List[str]:
                 f"{name}: {value:.2f}x <= 1.00x "
                 "(the vectorised path must beat its scalar reference)"
             )
-    if (os.cpu_count() or 1) < 2:
+    if usable_cpus() < 2:
         return failures
     for name in PARALLEL_SPEEDUP_GATES:
         value = result.get("derived", {}).get(name)
@@ -865,6 +864,22 @@ def parallel_speedup_failures(result: Dict[str, Any]) -> List[str]:
                 "(parallel must beat serial on a warm pool)"
             )
     return failures
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def baseline_comparable(
+    result: Dict[str, Any], baseline: Dict[str, Any]
+) -> bool:
+    """Whether both runs used the same ``quick`` workload sizes."""
+    return bool(baseline.get("quick")) == bool(result.get("quick"))
 
 
 def gate_against_baseline(
@@ -878,7 +893,7 @@ def gate_against_baseline(
     must not fail the gate), as are baselines recorded at a different
     ``quick`` setting - the workloads would not be comparable.
     """
-    if bool(baseline.get("quick")) != bool(result.get("quick")):
+    if not baseline_comparable(result, baseline):
         return []
     failures = []
     factor = 1.0 + gate_pct / 100.0
@@ -910,9 +925,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=4,
+        default=min(4, usable_cpus()),
         metavar="N",
-        help="worker processes for the parallel sweep (default: 4)",
+        help=(
+            "worker processes for the parallel sweep "
+            "(default: 4, or the usable CPUs if fewer)"
+        ),
     )
     parser.add_argument(
         "--output",
@@ -963,15 +981,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name, value in sorted(result["derived"].items()):
         print(f"  {name:<24} {value:.2f}x")
 
-    import os as _os
-
     speedup_failures = parallel_speedup_failures(result)
     if speedup_failures:
         print("parallel speedup gate failed:", file=sys.stderr)
         for failure in speedup_failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    gated = not result["quick"] and (_os.cpu_count() or 1) >= 2
+    gated = not result["quick"] and usable_cpus() >= 2
     for name in PARALLEL_SPEEDUP_GATES:
         value = result["derived"].get(name)
         if value is not None:
@@ -993,6 +1009,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.baseline:
         with open(args.baseline, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
+        if not baseline_comparable(result, baseline):
+            print(
+                f"gate skipped vs {args.baseline}: baseline recorded "
+                f"with quick={bool(baseline.get('quick'))}, this run "
+                f"quick={bool(result['quick'])} (workloads differ)"
+            )
+            return 0
         failures = gate_against_baseline(
             result, baseline, gate_pct=args.gate_pct
         )

@@ -145,6 +145,9 @@ class TestRunBatch:
         with pytest.raises(ConfigError):
             run_batch([a, b])
 
-    def test_adaptive_policy_batch_rejected(self):
-        with pytest.raises(ValueError, match="context-free"):
-            run_batch(self.points("panr", 2))
+    @pytest.mark.parametrize("policy", ("icon", "panr"))
+    def test_adaptive_policy_batch_matches_scalar_points(self, policy):
+        # The batch engine runs adaptive lanes too, each identical to
+        # the point's own one-lane run.
+        points = self.points(policy)
+        assert run_batch(points) == [run_point(p) for p in points]

@@ -1,14 +1,14 @@
 """Golden equivalence suite: BatchedNocEngine lanes vs the oracle.
 
-The batched engine's contract extends the array engine's "same bits,
-less time" to whole sweeps: **every lane** of a batch must be
-flit-for-flit identical to a scalar legacy run with that lane's flows,
-regardless of what its sibling lanes carry.  These tests pin that
-across all three context-free policies, two mesh sizes and two load
-levels; exercise heterogeneous per-lane seeds/rates/PSN; check that
-``set_psn`` on one lane leaves siblings untouched; and pin the S=1
-batch against ArrayNocEngine directly.  The ``simulate_lanes``
-dispatcher is covered on both paths (batched and adaptive fallback).
+The batched engine's contract is "same bits, less time" for whole
+sweeps: **every lane** of a batch must be flit-for-flit identical to a
+legacy :class:`CycleNocSimulator` run with that lane's flows and PSN
+field, regardless of what its sibling lanes carry.  ``ArrayNocEngine``
+is the batch engine's one-lane view, so it is no independent reference:
+every test here compares against the legacy oracle.  Pinned across
+every routing policy (context-free and adaptive), two mesh sizes and
+two load levels; heterogeneous per-lane seeds/rates/PSN; per-lane
+``set_psn`` mid-run; and the ``simulate_lanes`` entry point.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from repro.noc.topology import MeshTopology
 
 CONTEXT_FREE = ("xy", "west-first", "odd-even")
 ADAPTIVE = ("icon", "panr")
+POLICIES = CONTEXT_FREE + ADAPTIVE
 
 
 def uniform_flows(mesh, rate, seed, packet_size=4):
@@ -46,6 +47,16 @@ def band_psn(mesh, hot=12.0, quiet=4.0):
     return psn
 
 
+def column_psn(mesh, hot=12.0, quiet=4.0):
+    """A hot band down the two middle columns (band_psn transposed)."""
+    psn = np.full(mesh.tile_count, quiet)
+    for t in range(mesh.tile_count):
+        x, _ = mesh.coord_of(t)
+        if x in (mesh.width // 2 - 1, mesh.width // 2):
+            psn[t] = hot
+    return psn
+
+
 def assert_stats_equal(a, b):
     assert a.cycles == b.cycles
     assert a.packets_injected == b.packets_injected
@@ -53,6 +64,12 @@ def assert_stats_equal(a, b):
     assert a.flits_delivered == b.flits_delivered
     assert a.packet_latencies == b.packet_latencies
     assert np.array_equal(a.router_flits_per_cycle, b.router_flits_per_cycle)
+
+
+def legacy_runs(mesh, policy, psn, flows, cycles, runs=1):
+    """Per-run stats of one fresh legacy simulator."""
+    legacy = CycleNocSimulator(mesh, make_routing(policy), psn_pct=psn)
+    return [legacy.run(flows, cycles) for _ in range(runs)]
 
 
 def lane_grid(mesh, rates, seeds, packet_size=4):
@@ -65,7 +82,7 @@ def lane_grid(mesh, rates, seeds, packet_size=4):
 
 
 class TestLaneIdentity:
-    @pytest.mark.parametrize("policy", CONTEXT_FREE)
+    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("width,height", [(4, 4), (8, 8)])
     @pytest.mark.parametrize("rate", [0.05, 0.35])
     def test_every_lane_matches_legacy_oracle(
@@ -88,16 +105,16 @@ class TestLaneIdentity:
             )
             assert_stats_equal(legacy.run(lane_flows, cycles), batch[lane])
 
-    @pytest.mark.parametrize("policy", CONTEXT_FREE)
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_heterogeneous_rates_seeds_and_psn(self, policy):
         # A mixed batch - every lane a different (rate, seed, PSN) -
-        # must still match per-lane scalar runs: lane state never
+        # must still match per-lane legacy runs: lane state never
         # leaks across the block-diagonal boundary.
         mesh = MeshGeometry(8, 8)
         lane_cfg = [
             (0.05, 3, np.full(mesh.tile_count, 4.0)),
             (0.35, 7, band_psn(mesh)),
-            (0.20, 11, band_psn(mesh)[::-1].copy()),
+            (0.20, 11, column_psn(mesh)),
             (0.30, 13, np.zeros(mesh.tile_count)),
         ]
         flows = [uniform_flows(mesh, r, seed=s) for r, s, _ in lane_cfg]
@@ -110,10 +127,36 @@ class TestLaneIdentity:
             seeds=[s for _, s, _ in lane_cfg],
         ).run(flows, 300)
         for lane, (rate, seed, lane_psn) in enumerate(lane_cfg):
-            scalar = ArrayNocEngine(
+            legacy = CycleNocSimulator(
                 mesh, make_routing(policy), psn_pct=lane_psn, seed=seed
             )
-            assert_stats_equal(scalar.run(flows[lane], 300), batch[lane])
+            assert_stats_equal(legacy.run(flows[lane], 300), batch[lane])
+
+    def test_psn_fields_steer_panr_lanes_apart(self):
+        # Identical traffic, different PSN per lane: PSN actually
+        # steers PANR, so the lanes must diverge - and each must still
+        # equal its own legacy run (a batch that ignored per-lane PSN
+        # would fail one of the two checks).
+        mesh = MeshGeometry(8, 8)
+        flows = uniform_flows(mesh, 0.3, seed=17)
+        fields = [
+            np.full(mesh.tile_count, 4.0),
+            band_psn(mesh),
+            column_psn(mesh),
+        ]
+        batch = BatchedNocEngine(
+            mesh, make_routing("panr"), n_lanes=len(fields),
+            psn_pct=np.stack(fields),
+        ).run([flows] * len(fields), 300)
+        for lane, psn in enumerate(fields):
+            (legacy,) = legacy_runs(mesh, "panr", psn, flows, 300)
+            assert_stats_equal(legacy, batch[lane])
+        for a in range(len(fields)):
+            for b in range(a + 1, len(fields)):
+                assert not np.array_equal(
+                    batch[a].router_flits_per_cycle,
+                    batch[b].router_flits_per_cycle,
+                )
 
     def test_multi_flow_same_source_lanes(self):
         # Shared injection ports inside a lane: the backlog FIFO and
@@ -137,8 +180,10 @@ class TestLaneIdentity:
             assert_stats_equal(legacy.run(lane_flows, 700), got)
 
     def test_singleton_batch_equals_array_engine(self):
+        # ArrayNocEngine is the S=1 view: both must equal the oracle.
         mesh = MeshGeometry(8, 8)
         flows = uniform_flows(mesh, 0.25, seed=5)
+        (legacy,) = legacy_runs(mesh, "odd-even", band_psn(mesh), flows, 400)
         scalar = ArrayNocEngine(
             mesh, make_routing("odd-even"), psn_pct=band_psn(mesh), seed=5
         ).run(flows, 400)
@@ -146,7 +191,8 @@ class TestLaneIdentity:
             mesh, make_routing("odd-even"), n_lanes=1,
             psn_pct=band_psn(mesh), seeds=[5],
         ).run([flows], 400)
-        assert_stats_equal(scalar, batched)
+        assert_stats_equal(legacy, scalar)
+        assert_stats_equal(legacy, batched)
 
     def test_adopted_route_table_and_topology_identical(self):
         # The warm-pool sharing path: one topology + one (n, n) table
@@ -167,20 +213,20 @@ class TestLaneIdentity:
 
     def test_state_persists_across_runs(self):
         # Back-to-back run() calls carry in-flight flits and wormhole
-        # state per lane, exactly like back-to-back scalar runs.
+        # state per lane, exactly like back-to-back legacy runs.
         mesh = MeshGeometry(8, 8)
         seeds = (11, 12)
         flows = [uniform_flows(mesh, 0.2, seed=s) for s in seeds]
         batch = BatchedNocEngine(
             mesh, make_routing("xy"), n_lanes=len(seeds)
         )
-        scalars = [
-            ArrayNocEngine(mesh, make_routing("xy")) for _ in seeds
+        legacies = [
+            CycleNocSimulator(mesh, make_routing("xy")) for _ in seeds
         ]
         for _ in range(2):
             got = batch.run(flows, 250)
-            for lane, scalar in enumerate(scalars):
-                assert_stats_equal(scalar.run(flows[lane], 250), got[lane])
+            for lane, legacy in enumerate(legacies):
+                assert_stats_equal(legacy.run(flows[lane], 250), got[lane])
 
 
 class TestPsnLaneIsolation:
@@ -199,11 +245,38 @@ class TestPsnLaneIsolation:
         batch.set_psn(np.full(mesh.tile_count, 40.0), lane=1)
         second = batch.run(flows, 200)
         for lane in range(len(seeds)):
-            scalar = ArrayNocEngine(
-                mesh, make_routing("west-first"), psn_pct=band_psn(mesh)
+            want = legacy_runs(
+                mesh, "west-first", band_psn(mesh), flows[lane], 200, runs=2
             )
-            assert_stats_equal(scalar.run(flows[lane], 200), first[lane])
-            assert_stats_equal(scalar.run(flows[lane], 200), second[lane])
+            assert_stats_equal(want[0], first[lane])
+            assert_stats_equal(want[1], second[lane])
+
+    def test_mid_run_set_psn_on_one_panr_lane(self):
+        # PANR reads PSN: a per-lane set_psn between two run() calls
+        # redirects exactly that lane, as the same update does for its
+        # legacy run, and leaves the sibling lanes on their old field.
+        mesh = MeshGeometry(8, 8)
+        flows = uniform_flows(mesh, 0.25, seed=13)
+        psn = band_psn(mesh)
+        flipped = column_psn(mesh)
+        batch = BatchedNocEngine(
+            mesh, make_routing("panr"), n_lanes=3, psn_pct=psn
+        )
+        first = batch.run([flows] * 3, 250)
+        batch.set_psn(flipped, lane=1)
+        second = batch.run([flows] * 3, 250)
+        for lane in range(3):
+            legacy = CycleNocSimulator(
+                mesh, make_routing("panr"), psn_pct=psn
+            )
+            assert_stats_equal(legacy.run(flows, 250), first[lane])
+            if lane == 1:
+                legacy.set_psn(flipped)
+            assert_stats_equal(legacy.run(flows, 250), second[lane])
+        assert not np.array_equal(
+            second[0].router_flits_per_cycle, second[1].router_flits_per_cycle
+        )
+        assert_stats_equal(second[0], second[2])
 
     def test_set_psn_shapes(self):
         mesh = MeshGeometry(4, 4)
@@ -225,11 +298,17 @@ class TestPsnLaneIsolation:
 
 
 class TestValidation:
-    def test_adaptive_policy_rejected(self):
+    def test_adaptive_route_table_rejected(self):
+        # Adaptive policies batch, but have no route table to adopt.
         mesh = MeshGeometry(4, 4)
+        table = build_route_table(mesh, make_routing("west-first"))
         for policy in ADAPTIVE:
             with pytest.raises(ValueError):
-                BatchedNocEngine(mesh, make_routing(policy), n_lanes=2)
+                BatchedNocEngine(
+                    mesh, make_routing(policy), n_lanes=2, route_table=table
+                )
+            with pytest.raises(ValueError):
+                ArrayNocEngine(mesh, make_routing(policy), route_table=table)
 
     def test_bad_construction_rejected(self):
         mesh = MeshGeometry(4, 4)
@@ -278,14 +357,14 @@ class TestSimulateLanes:
         ]
         got = simulate_lanes(mesh, make_routing("xy"), lanes, 300)
         for spec, stats in zip(lanes, got):
-            scalar = ArrayNocEngine(
+            legacy = CycleNocSimulator(
                 mesh, make_routing("xy"),
                 psn_pct=np.asarray(spec.psn_pct), seed=spec.seed,
             )
-            assert_stats_equal(scalar.run(list(spec.flows), 300), stats)
+            assert_stats_equal(legacy.run(list(spec.flows), 300), stats)
 
     @pytest.mark.parametrize("policy", ADAPTIVE)
-    def test_adaptive_fallback_path(self, policy):
+    def test_adaptive_batched_path(self, policy):
         mesh = MeshGeometry(4, 4)
         lanes = [
             LaneSpec(flows=tuple(uniform_flows(mesh, rate, seed=s)),

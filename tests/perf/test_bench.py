@@ -166,6 +166,35 @@ class TestCli:
         assert written["benchmarks"]["kernel_eval_batch"]["seconds"] == 0.5
         assert "gate passed" in capsys.readouterr().out
 
+    def test_main_reports_skipped_gate_on_quick_mismatch(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A baseline recorded at the other `quick` setting compares
+        # nothing: say so (naming both settings) instead of "passed",
+        # and keep the exit code.
+        fake = payload({"kernel_eval_batch": 9.0}, quick=True)
+        monkeypatch.setattr(bench, "run_suite", lambda **kw: fake)
+
+        out = tmp_path / "bench.json"
+        base = tmp_path / "baseline.json"
+        with open(base, "w", encoding="utf-8") as handle:
+            json.dump(payload({"kernel_eval_batch": 0.5}, quick=False), handle)
+
+        code = bench.main(
+            ["--quick", "--output", str(out), "--baseline", str(base)]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "gate passed" not in printed
+        assert f"gate skipped vs {base}" in printed
+        assert "quick=False" in printed and "quick=True" in printed
+
+    def test_workers_default_fits_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
+        assert bench.build_parser().parse_args([]).workers == 2
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 64)
+        assert bench.build_parser().parse_args([]).workers == 4
+
     def test_main_fails_on_regression(self, tmp_path, monkeypatch, capsys):
         fake = payload({"kernel_eval_batch": 2.0})
         monkeypatch.setattr(bench, "run_suite", lambda **kw: fake)
@@ -182,9 +211,7 @@ class TestCli:
         assert "regressions" in capsys.readouterr().err
 
     def test_analytical_speedup_gated_on_any_core_count(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 1)
         slow = payload({}, quick=False)
         slow["derived"] = {"noc_analytical_speedup": 0.9}
         failures = bench.parallel_speedup_failures(slow)
