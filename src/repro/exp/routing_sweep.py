@@ -15,16 +15,14 @@ resulting table is byte-identical to a serial run for any worker count
 deterministic: seed ``s`` always produces the same traffic pattern, and
 every policy sees the identical pattern for a fair comparison.
 
-Context-free policies (XY, west-first, odd-even) do not fan out per
-point: all of a policy's (rate, seed) grid points become lanes of one
-:class:`~repro.noc.batch.BatchedNocEngine` run (:func:`run_batch`),
-which advances every lane in one vectorised lock-step pass.  Each lane
-is pinned flit-for-flit identical to the legacy simulator, so the rows
-are byte-identical to the per-point path.  Adaptive policies (PANR,
-ICON) keep one :func:`run_point` task per grid point on the one-lane
-:class:`~repro.noc.engine.ArrayNocEngine`: their per-decision route
-selection dominates a run, so they gain more from fanning across
-workers than from sharing the vectorised phases.
+Points do not fan out one by one: all of a policy's (rate, seed) grid
+points become lanes of one :class:`~repro.noc.batch.BatchedNocEngine`
+run (:func:`run_batch`), which advances every lane in one vectorised
+lock-step pass - route tables for the context-free policies (XY,
+west-first, odd-even), one array hop selection per cycle for the
+adaptive ones (PANR, ICON).  Each lane is pinned flit-for-flit
+identical to the legacy simulator, so the rows are byte-identical to
+the per-point path (:func:`run_point`).
 
 ``python -m repro routing`` drives this module from the command line;
 the ``routing`` report section embeds the same table.
@@ -249,10 +247,9 @@ def routing_sweep(
 ) -> List[SweepRow]:
     """Latency/throughput vs injection rate for each routing policy.
 
-    Context-free policies pack their whole (rate, seed) grid into one
-    :func:`run_batch` lock-step task each; adaptive policies fan one
-    :func:`run_point` task per grid point.  Both task kinds go through
-    :func:`repro.perf.parallel.map_tasks` and every task is a pure
+    Every policy packs its whole (rate, seed) grid into one
+    :func:`run_batch` lock-step task, and the tasks go through
+    :func:`repro.perf.parallel.map_tasks`.  Every task is a pure
     function of its spec, so the returned rows are identical for any
     worker count - and byte-identical to the per-point path, because
     each batch lane is pinned flit-for-flit against the legacy
@@ -278,20 +275,13 @@ def routing_sweep(
         for rate in rates
         for seed in seeds
     ]
-    batch_groups = [
-        tuple(p for p in points if p.policy == policy)
-        for policy in policies
-        if make_routing(policy).context_free
-    ]
-    scalar_points = [
-        p for p in points if not make_routing(p.policy).context_free
+    groups = [
+        tuple(p for p in points if p.policy == policy) for policy in policies
     ]
     by_point: Dict[SweepPoint, PointResult] = {}
-    for group_results in map_tasks(run_batch, batch_groups, workers):
+    for group_results in map_tasks(run_batch, groups, workers):
         for result in group_results:
             by_point[result.point] = result
-    for result in map_tasks(run_point, scalar_points, workers):
-        by_point[result.point] = result
     results = [by_point[point] for point in points]
 
     grouped: Dict[Tuple[str, float], List[PointResult]] = {}

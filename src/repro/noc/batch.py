@@ -32,12 +32,17 @@ Route computation takes one of two paths:
 * **context-free policies** (XY, west-first, odd-even -
   ``RoutingAlgorithm.context_free``) are served from one lazily built
   per-(tile, destination) route table shared by every lane;
-* **adaptive policies** (PANR, ICON) call ``routing.select`` once per
-  head flit with a :class:`RoutingContext` assembled from cached
-  per-tile neighbour maps: each lane's PSN field (static between
-  :meth:`BatchedNocEngine.set_psn` calls) and its data rates (refreshed
-  once per measurement window).  Decisions only read occupancies from
-  before the cycle's commit, so their loop order cannot change results.
+* **adaptive policies** (PANR, ICON) decide every head flit of a cycle
+  in one :meth:`RoutingAlgorithm.select_ports` call.  The engine
+  gathers each decision's in-mesh tile, destination, input-port
+  occupancy and per-column neighbour PSN, data rate and outgoing-link
+  occupancy into the rows of a :class:`RouterState`, through
+  precomputed ``(S * n, 4)`` neighbour index arrays; each lane's PSN
+  field is static between :meth:`BatchedNocEngine.set_psn` calls and
+  its data rates are refreshed once per measurement window.  PANR and
+  ICON answer with array code equal to their scalar ``select`` row for
+  row.  Decisions only read occupancies from before the cycle's
+  commit, so deciding them together cannot change results.
 
 What batching buys (measured in ``python -m repro bench``,
 ``noc_engine_batch_speedup``): the per-cycle python overhead - ~20
@@ -45,22 +50,27 @@ numpy call dispatches plus the injection and backlog bookkeeping - is
 paid *once per batch cycle* instead of once per lane cycle, and the
 route-table build is paid once instead of S times.  At 32 lanes the
 fixed costs amortise to ~3% each, so the batch runs the whole sweep in
-roughly the wall-time of its busiest lane.  Adaptive lanes keep their
-per-decision ``select`` calls, so batching them saves only the shared
-phases.
+roughly the wall-time of its busiest lane.  Adaptive route computation
+is one array call per batch cycle as well, so adaptive lanes amortise
+the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.chip.mesh import MeshGeometry
 from repro.noc.cycle.simulator import NocSimStats, TrafficFlow
-from repro.noc.routing.base import RoutingAlgorithm, RoutingContext
+from repro.noc.routing.base import (
+    RouterState,
+    RoutingAlgorithm,
+    RoutingContext,
+)
 from repro.noc.topology import (
+    MESH_DIRECTIONS,
     Direction,
     MeshTopology,
     OPPOSITE_CODES,
@@ -72,6 +82,9 @@ from repro.noc.topology import (
 _LOCAL = PORT_CODES[Direction.LOCAL]
 
 _N_PORTS = len(PORT_DIRECTIONS)
+
+#: Port codes of the mesh directions, in ``RouterState`` column order.
+_MESH_PORTS = [PORT_CODES[d] for d in MESH_DIRECTIONS]
 
 #: Arbitration key for non-candidates; larger than any round-robin
 #: distance ``(port - pointer) % 5``.
@@ -127,7 +140,8 @@ class BatchedNocEngine:
     #: shared-readonly rule flags any write outside __init__ and the
     #: lazy route-table builder declared below (see docs/lint.md).
     #: _tile_lane/_tile_local are the flat-index decompositions (flat
-    #: tile -> lane, flat tile -> in-mesh tile).
+    #: tile -> lane, flat tile -> in-mesh tile); _nbr_* are the (flat,
+    #: 4) per-column neighbour gathers of adaptive route computation.
     __shared_readonly__ = (
         "_down_tile",
         "_down_port",
@@ -135,6 +149,9 @@ class BatchedNocEngine:
         "_edge_ok",
         "_flat_slot_base",
         "_is_local_row",
+        "_nbr_in_port",
+        "_nbr_ok",
+        "_nbr_tile",
         "_packed_rr",
         "_route_table",
         "_table_built",
@@ -161,6 +178,8 @@ class BatchedNocEngine:
             raise ValueError("n_lanes must be at least 1")
         if buffer_depth < 1:
             raise ValueError("buffer_depth must be at least 1")
+        if rate_window < 1:
+            raise ValueError("rate_window must be at least 1")
         if route_table is not None and not routing.context_free:
             raise ValueError(
                 "route tables exist only for context-free policies"
@@ -274,26 +293,15 @@ class BatchedNocEngine:
             self._route_table = np.full((n, n), -1, np.int8)
             self._table_built = np.zeros(n, bool)
         self._empty_ctx = RoutingContext()
-        # Adaptive-policy context caches: per-flat-tile static adjacency
-        # (Direction, flat neighbour tile, neighbour's input port code)
-        # and the per-tile neighbour PSN / data-rate dicts, rebuilt on
-        # set_psn and once per rate window respectively.
-        self._adjacency: List[Tuple[Tuple[Direction, int, int], ...]] = []
-        if self._route_table is None:
-            self._adjacency = [
-                tuple(
-                    (
-                        d,
-                        self._topo.neighbor(t, d) + base,
-                        OPPOSITE_CODES[PORT_CODES[d]],
-                    )
-                    for d in self._topo.out_directions(t)
-                )
-                for base in range(0, flat, n)
-                for t in range(n)
-            ]
-        self._psn_dicts: Optional[List[Dict[Direction, float]]] = None
-        self._rate_dicts: Optional[List[Dict[Direction, float]]] = None
+        # Adaptive route computation gathers per (flat tile, mesh
+        # column): the flat neighbour tile (clamped like _down_tile),
+        # whether it exists, and the flat (tile, port) index of its
+        # input port facing this tile.
+        self._nbr_tile = self._down_tile[:, _MESH_PORTS]
+        self._nbr_ok = self._edge_ok[:, _MESH_PORTS]
+        self._nbr_in_port = self._down_flat.reshape(flat, _N_PORTS)[
+            :, _MESH_PORTS
+        ]
 
     @property
     def topology(self) -> MeshTopology:
@@ -331,7 +339,6 @@ class BatchedNocEngine:
             raise ValueError(
                 "psn_pct must be (tiles,) shared or (lanes, tiles)"
             )
-        self._psn_dicts = None
 
     # ------------------------------------------------------------------
 
@@ -668,7 +675,6 @@ class BatchedNocEngine:
             if adaptive and self._cycle % self._rate_window == 0:
                 self._rates = window_in_flits / self._rate_window
                 window_in_flits = np.zeros(flat)
-                self._rate_dicts = None
 
         # --- per-lane stats splits ------------------------------------
         if lat_lanes:
@@ -781,48 +787,41 @@ class BatchedNocEngine:
     def _route_adaptive(
         self, t_idx: np.ndarray, p_idx: np.ndarray, dsts: np.ndarray
     ) -> np.ndarray:
-        """Per-decision routing of head flits at flat ``(t_idx, p_idx)``.
+        """Route the head flits at flat ``(t_idx, p_idx)`` in one call.
 
-        ``dsts`` are in-mesh destinations; ``routing.select`` sees the
-        in-mesh tile and the tile's own lane context.
+        ``dsts`` are in-mesh destinations.  Flits at their destination
+        eject (LOCAL) without consulting the policy; the rest go to
+        ``routing.select_ports`` with in-mesh tiles and each decision's
+        own lane context, 0 in the columns of missing neighbours.
         """
-        if self._psn_dicts is None:
-            psn = self._psn.ravel().tolist()
-            self._psn_dicts = [
-                {d: psn[nb] for d, nb, _ in adj} for adj in self._adjacency
-            ]
-        if self._rate_dicts is None:
-            rates = self._rates.tolist()
-            self._rate_dicts = [
-                {d: rates[nb] for d, nb, _ in adj} for adj in self._adjacency
-            ]
+        local = self._tile_local[t_idx]
+        codes = np.full(len(t_idx), _LOCAL, np.int64)
+        hop = np.nonzero(dsts != local)[0]
+        if not len(hop):
+            return codes
+        tiles = t_idx[hop]
         occ = self._occ_flits
         depth = self._depth
-        n = self._n_local
-        out = np.empty(len(t_idx), np.int64)
-        for k, (tile, port, dst) in enumerate(
-            zip(t_idx.tolist(), p_idx.tolist(), dsts.tolist())
-        ):
-            local = tile % n
-            if dst == local:
-                out[k] = _LOCAL
-                continue
-            ctx = RoutingContext(
-                buffer_occupancy=int(occ[tile, port]) / depth,
-                neighbor_data_rate=self._rate_dicts[tile],
-                neighbor_psn_pct=self._psn_dicts[tile],
-                out_link_rho={
-                    d: int(occ[nb, opp]) / depth
-                    for d, nb, opp in self._adjacency[tile]
-                },
-            )
-            code = PORT_CODES[
-                self._routing.select(self._topo, local, dst, ctx)
-            ]
-            if not self._edge_ok[tile, code]:
-                raise RuntimeError(f"route off mesh edge at tile {local}")
-            out[k] = code
-        return out
+        nbr = self._nbr_tile[tiles]
+        ok = self._nbr_ok[tiles]
+        state = RouterState(
+            buffer_occupancy=occ[tiles, p_idx[hop]] / depth,
+            neighbor_data_rate=np.where(ok, self._rates[nbr], 0.0),
+            neighbor_psn_pct=np.where(ok, self._psn.ravel()[nbr], 0.0),
+            neighbor_psn_valid=None,
+            out_link_rho=np.where(
+                ok, occ.take(self._nbr_in_port[tiles]) / depth, 0.0
+            ),
+        )
+        hop_codes = self._routing.select_ports(
+            self._topo, local[hop], dsts[hop], state
+        )
+        off_edge = ~self._edge_ok[tiles, hop_codes]
+        if off_edge.any():
+            tile = int(local[hop][off_edge][0])
+            raise RuntimeError(f"route off mesh edge at tile {tile}")
+        codes[hop] = hop_codes
+        return codes
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,8 @@ class CycleNocSimulator:
         rate_window: int = 64,
         seed: int = 0,
     ):
+        if rate_window < 1:
+            raise ValueError("rate_window must be at least 1")
         self._topo = MeshTopology(mesh)
         self._routing = routing
         self._routers = [Router(t, buffer_depth) for t in mesh.tiles()]

@@ -19,6 +19,12 @@ the weights of every ``(tile, mask)`` pair at once from a
 :class:`RouterState` (the array form of every router's context).  That
 relies on one contract: ``weights`` depends on ``dst`` only through
 ``permissible(cur, dst)``.
+
+The cycle engine asks for hop choices in bulk the same way:
+:meth:`RoutingAlgorithm.select_ports` takes every head flit's decision
+of one cycle as the rows of a :class:`RouterState` and returns one
+port code per row, equal to :meth:`RoutingAlgorithm.select` row for
+row.
 """
 
 from __future__ import annotations
@@ -29,7 +35,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.noc.topology import MESH_DIRECTIONS, Direction, MeshTopology
+from repro.noc.topology import (
+    MESH_DIRECTIONS,
+    PORT_CODES,
+    Direction,
+    MeshTopology,
+)
 
 #: Number of distinct permissible masks: bit ``j`` of a mask stands for
 #: ``MESH_DIRECTIONS[j]`` (EAST, WEST, NORTH, SOUTH - port codes 1..4),
@@ -45,6 +56,16 @@ MESH_COLUMNS: Dict[Direction, int] = {
 def mask_columns(mask: int) -> Tuple[int, ...]:
     """Columns (ascending) of the directions set in a permissible mask."""
     return tuple(j for j in range(len(MESH_DIRECTIONS)) if mask >> j & 1)
+
+
+#: Per mask: its lowest and highest set column (-1 for the empty mask).
+_MASK_LOW = np.array([min(mask_columns(m), default=-1) for m in range(N_MASKS)])
+_MASK_HIGH = np.array([max(mask_columns(m), default=-1) for m in range(N_MASKS)])
+
+#: Column -> port code, with the empty mask's -1 mapping to LOCAL.
+_COLUMN_CODES = np.array(
+    [PORT_CODES[d] for d in MESH_DIRECTIONS] + [PORT_CODES[Direction.LOCAL]]
+)
 
 
 @dataclass
@@ -81,12 +102,15 @@ class RoutingContext:
 
 @dataclass(frozen=True)
 class RouterState:
-    """Every router's :class:`RoutingContext` at once, as arrays.
+    """Many :class:`RoutingContext` at once, as arrays.
 
-    ``buffer_occupancy`` is ``(n,)``; the other arrays are ``(n, 4)``
-    with columns in :data:`MESH_COLUMNS` order.  A port without a
-    neighbour holds 0 (True in ``neighbor_psn_valid``);
-    ``neighbor_psn_valid`` is ``None`` when every reading is trusted.
+    Each row is one context: one per router for the analytical model,
+    one per routing decision for the cycle engine (a router deciding
+    for two input ports gives two rows).  ``buffer_occupancy`` is
+    ``(rows,)``; the other arrays are ``(rows, 4)`` with columns in
+    :data:`MESH_COLUMNS` order.  A port without a neighbour holds 0
+    (True in ``neighbor_psn_valid``); ``neighbor_psn_valid`` is
+    ``None`` when every reading is trusted.
     """
 
     buffer_occupancy: np.ndarray
@@ -95,19 +119,25 @@ class RouterState:
     neighbor_psn_valid: Optional[np.ndarray]
     out_link_rho: np.ndarray
 
-    def context(self, topo: MeshTopology, tile: int) -> RoutingContext:
-        """The scalar context of one router (for per-tile ``weights``)."""
+    def context(
+        self, topo: MeshTopology, tile: int, row: Optional[int] = None
+    ) -> RoutingContext:
+        """The scalar context of router ``tile``, read from ``row``.
+
+        ``row`` defaults to ``tile`` (one row per router).
+        """
+        r = tile if row is None else row
         dirs = topo.out_directions(tile)
         cols = [MESH_COLUMNS[d] for d in dirs]
         trusted: Dict[Direction, bool] = {}
         if self.neighbor_psn_valid is not None:
-            row = self.neighbor_psn_valid[tile].tolist()
-            trusted = {d: row[c] for d, c in zip(dirs, cols)}
-        rates = self.neighbor_data_rate[tile].tolist()
-        noise = self.neighbor_psn_pct[tile].tolist()
-        rho = self.out_link_rho[tile].tolist()
+            valid = self.neighbor_psn_valid[r].tolist()
+            trusted = {d: valid[c] for d, c in zip(dirs, cols)}
+        rates = self.neighbor_data_rate[r].tolist()
+        noise = self.neighbor_psn_pct[r].tolist()
+        rho = self.out_link_rho[r].tolist()
         return RoutingContext(
-            buffer_occupancy=float(self.buffer_occupancy[tile]),
+            buffer_occupancy=float(self.buffer_occupancy[r]),
             neighbor_data_rate={d: rates[c] for d, c in zip(dirs, cols)},
             neighbor_psn_pct={d: noise[c] for d, c in zip(dirs, cols)},
             neighbor_psn_valid=trusted,
@@ -167,6 +197,24 @@ def _libm_square(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()], dtype=float)
 
 
+def _soft_min_pair(
+    ma: np.ndarray, mb: np.ndarray, gate_a: np.ndarray, gate_b: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Soft-min weights of two-direction choices, elementwise.
+
+    Direction ``d`` weighs ``1 / (metric[d] - min + 0.4) ** 2 * gate``.
+    The winner's denominator is the constant ``0.4 ** 2``, so only the
+    loser's takes a ``pow`` call, through :func:`_libm_square` so both
+    weights equal the scalar policies' bit for bit.
+    """
+    near = 1.0 / 0.4**2
+    far = 1.0 / _libm_square(np.abs(ma - mb) + 0.4)
+    return (
+        np.where(ma <= mb, near, far) * gate_a,
+        np.where(mb <= ma, near, far) * gate_b,
+    )
+
+
 def soft_min_table(
     table: PermissibleTable, metric: np.ndarray, out_rho: np.ndarray
 ) -> np.ndarray:
@@ -174,26 +222,51 @@ def soft_min_table(
 
     For every two-direction mask, direction ``d`` weighs
     ``1 / (metric[d] - min + 0.4) ** 2 * max(0.05, 1 - out_rho[d])``;
-    a single-direction mask weighs 1.0 ungated.  Per (tile, mask) the
-    winner's denominator is the constant ``0.4 ** 2``, so only the
-    loser's takes a ``pow`` call: at most two per tile for west-first
-    masks.  Returns the ``(n, N_MASKS, 4)`` table.
+    a single-direction mask weighs 1.0 ungated.  Returns the
+    ``(n, N_MASKS, 4)`` table.
     """
     n = metric.shape[0]
     out = np.zeros((n, N_MASKS, len(MESH_DIRECTIONS)))
     gate = np.maximum(0.05, 1.0 - out_rho)
-    near = 1.0 / 0.4**2
     for m in table.masks_used:
         cols = mask_columns(m)
         if len(cols) == 1:
             out[:, m, cols[0]] = 1.0
             continue
         a, b = cols
-        ma, mb = metric[:, a], metric[:, b]
-        far = 1.0 / _libm_square(np.abs(ma - mb) + 0.4)
-        out[:, m, a] = np.where(ma <= mb, near, far) * gate[:, a]
-        out[:, m, b] = np.where(mb <= ma, near, far) * gate[:, b]
+        out[:, m, a], out[:, m, b] = _soft_min_pair(
+            metric[:, a], metric[:, b], gate[:, a], gate[:, b]
+        )
     return out
+
+
+def soft_min_select(
+    mask: np.ndarray, metric: np.ndarray, out_rho: np.ndarray
+) -> np.ndarray:
+    """Row-wise argmax of the :func:`soft_min_table` weights.
+
+    ``mask[i]`` is row ``i``'s permissible mask, of at most two
+    directions like every west-first mask; ``metric`` and ``out_rho``
+    are ``(rows, 4)``.  Returns one port code per row: LOCAL for the
+    empty mask, the only direction of a one-direction mask, and the
+    heavier of two directions otherwise, ties going to the lower
+    column (the order of ``list(Direction)``, which is how
+    :meth:`RoutingAlgorithm.select` breaks them).
+    """
+    low = _MASK_LOW[mask]
+    high = _MASK_HIGH[mask]
+    cols = low.copy()
+    two = np.nonzero(low != high)[0]
+    if len(two):
+        a, b = low[two], high[two]
+        wa, wb = _soft_min_pair(
+            metric[two, a],
+            metric[two, b],
+            np.maximum(0.05, 1.0 - out_rho[two, a]),
+            np.maximum(0.05, 1.0 - out_rho[two, b]),
+        )
+        cols[two] = np.where(wb > wa, b, a)
+    return _COLUMN_CODES[cols]
 
 
 class RoutingAlgorithm(abc.ABC):
@@ -288,3 +361,25 @@ class RoutingAlgorithm(abc.ABC):
             return Direction.LOCAL
         order = list(Direction)
         return max(weights, key=lambda d: (weights[d], -order.index(d)))
+
+    def select_ports(
+        self,
+        topo: MeshTopology,
+        cur: np.ndarray,
+        dst: np.ndarray,
+        state: RouterState,
+    ) -> np.ndarray:
+        """Many :meth:`select` calls at once, as port codes.
+
+        Row ``i`` is a decision at tile ``cur[i]`` for destination
+        ``dst[i]`` in the context of ``state``'s row ``i``; the result
+        must equal ``PORT_CODES[select(topo, cur[i], dst[i], ctx)]``
+        row for row (``cur[i] == dst[i]`` gives LOCAL).  The default
+        calls :meth:`select` per row; array overrides (PANR, ICON) must
+        reproduce it bit for bit.
+        """
+        out = np.empty(len(cur), np.int64)
+        for i, (c, d) in enumerate(zip(cur.tolist(), dst.tolist())):
+            ctx = state.context(topo, c, row=i)
+            out[i] = PORT_CODES[self.select(topo, c, d, ctx)]
+        return out

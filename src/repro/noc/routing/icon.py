@@ -29,6 +29,7 @@ from repro.noc.routing.base import (
     PermissibleTable,
     RouterState,
     RoutingContext,
+    soft_min_select,
     soft_min_table,
 )
 from repro.noc.routing.west_first import WestFirstRouting
@@ -76,4 +77,17 @@ class IconRouting(WestFirstRouting):
         assert state is not None, "ICON reads the routing context"
         return soft_min_table(
             table, state.neighbor_data_rate, state.out_link_rho
+        )
+
+    def select_ports(
+        self,
+        topo: MeshTopology,
+        cur: np.ndarray,
+        dst: np.ndarray,
+        state: RouterState,
+    ) -> np.ndarray:
+        """Array form of :meth:`select`, one port code per row."""
+        mask = self.permissible_table(topo).perm_mask[cur, dst]
+        return soft_min_select(
+            mask, state.neighbor_data_rate, state.out_link_rho
         )

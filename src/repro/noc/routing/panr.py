@@ -38,6 +38,7 @@ from repro.noc.routing.base import (
     RouterState,
     RoutingContext,
     mask_columns,
+    soft_min_select,
     soft_min_table,
 )
 from repro.noc.routing.west_first import WestFirstRouting
@@ -106,6 +107,13 @@ class PanrRouting(WestFirstRouting):
             for d, w in weights.items()
         }
 
+    def _metric(self, state: RouterState) -> np.ndarray:
+        """Per row: data rates past the buffer threshold, else PSN."""
+        congested = state.buffer_occupancy > self.buffer_threshold
+        return np.where(
+            congested[:, None], state.neighbor_data_rate, state.neighbor_psn_pct
+        )
+
     def weight_table(
         self,
         topo: MeshTopology,
@@ -114,11 +122,7 @@ class PanrRouting(WestFirstRouting):
     ) -> np.ndarray:
         """Array form of :meth:`weights` for every (tile, mask) pair."""
         assert state is not None, "PANR reads the routing context"
-        congested = state.buffer_occupancy > self.buffer_threshold
-        metric = np.where(
-            congested[:, None], state.neighbor_data_rate, state.neighbor_psn_pct
-        )
-        out = soft_min_table(table, metric, state.out_link_rho)
+        out = soft_min_table(table, self._metric(state), state.out_link_rho)
         valid = state.neighbor_psn_valid
         if valid is None:
             return out
@@ -132,3 +136,30 @@ class PanrRouting(WestFirstRouting):
             out[untrusted, m, :] = 0.0
             out[untrusted, m, cols[0]] = 1.0
         return out
+
+    def select_ports(
+        self,
+        topo: MeshTopology,
+        cur: np.ndarray,
+        dst: np.ndarray,
+        state: RouterState,
+    ) -> np.ndarray:
+        """Array form of :meth:`select`, one port code per row."""
+        mask = self.permissible_table(topo).perm_mask[cur, dst]
+        codes = soft_min_select(mask, self._metric(state), state.out_link_rho)
+        valid = state.neighbor_psn_valid
+        if valid is not None:
+            # Fail-safe XY wherever a permissible direction's reading is
+            # untrusted: select among XY's (single) permissible hop.
+            permitted = (mask[:, None] >> np.arange(valid.shape[1])) & 1
+            untrusted = (permitted.astype(bool) & ~valid).any(axis=1)
+            if untrusted.any():
+                xy_mask = _XY_FALLBACK.permissible_table(topo).perm_mask[
+                    cur[untrusted], dst[untrusted]
+                ]
+                codes[untrusted] = soft_min_select(
+                    xy_mask,
+                    state.neighbor_psn_pct[untrusted],
+                    state.out_link_rho[untrusted],
+                )
+        return codes

@@ -20,8 +20,9 @@ against a committed baseline (see ``docs/performance.md``):
   times steady-state task throughput, not spawn cost;
 * ``noc_engine_legacy`` / ``noc_engine_array`` - the flit-level cycle
   model at 8x8 saturation: object-per-flit reference vs the
-  structure-of-arrays engine (plus ``noc_engine_array_adaptive`` for
-  the PANR context-assembly path);
+  structure-of-arrays engine, and ``noc_engine_legacy_adaptive`` /
+  ``noc_engine_array_adaptive`` for the same pair under PANR (the
+  array hop-selection path);
 * ``noc_analytical_eval_scalar`` / ``noc_analytical_eval`` - a
   recorded PARM+PANR refresh trace replayed through the scalar oracle
   (``repro.noc.analytical_ref``) and the array analytical model (every
@@ -371,6 +372,11 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
             mesh, make_routing("xy"), psn_pct=psn, seed=3
         ).run(flows, cycles)
 
+    def legacy_adaptive() -> None:
+        CycleNocSimulator(
+            mesh, make_routing("panr"), psn_pct=psn, seed=3
+        ).run(flows, cycles)
+
     def adaptive() -> None:
         ArrayNocEngine(
             mesh, make_routing("panr"), psn_pct=psn, seed=3
@@ -446,6 +452,10 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
         "noc_engine_array": {
             "seconds": _time_best(array, repeats),
             "meta": {**meta, "routing": "xy"},
+        },
+        "noc_engine_legacy_adaptive": {
+            "seconds": _time_best(legacy_adaptive, repeats),
+            "meta": {**meta, "routing": "panr"},
         },
         "noc_engine_array_adaptive": {
             "seconds": _time_best(adaptive, repeats),
@@ -570,23 +580,26 @@ def bench_routing_sweep(quick: bool, workers: int) -> Dict[str, Dict[str, Any]]:
         seeds=(1,) if quick else (1, 2),
         cycles=800 if quick else 2000,
     )
-    # Batched-lane identity: the sweep's context-free grid runs as
-    # BatchedNocEngine lanes, so pin the whole xy group against the
-    # historical per-point scalar path before anything is timed.
-    xy_points = [
-        SweepPoint(
-            policy="xy",
-            injection_rate_flits=rate,
-            seed=seed,
-            cycles=kwargs["cycles"],
-        )
-        for rate in kwargs["rates"]
-        for seed in kwargs["seeds"]
-    ]
-    if run_batch(xy_points) != [run_point(p) for p in xy_points]:
-        raise RuntimeError(
-            "batched routing-sweep lanes diverged from scalar points"
-        )
+    # Batched-lane identity: every policy's grid runs as one group of
+    # BatchedNocEngine lanes, so pin the xy group (route table) and the
+    # panr group (array hop selection) against the per-point path
+    # before anything is timed.
+    for policy in ("xy", "panr"):
+        group = [
+            SweepPoint(
+                policy=policy,
+                injection_rate_flits=rate,
+                seed=seed,
+                cycles=kwargs["cycles"],
+            )
+            for rate in kwargs["rates"]
+            for seed in kwargs["seeds"]
+        ]
+        if run_batch(group) != [run_point(p) for p in group]:
+            raise RuntimeError(
+                f"batched routing-sweep {policy} lanes diverged from "
+                "scalar points"
+            )
     start = time.perf_counter()
     serial_rows = routing_sweep(workers=1, **kwargs)
     serial_s = time.perf_counter() - start
@@ -788,6 +801,11 @@ def run_suite(
         ("pool_reuse_speedup", "pool_warmup", "pool_reuse"),
         ("noc_engine_speedup", "noc_engine_legacy", "noc_engine_array"),
         (
+            "noc_engine_adaptive_speedup",
+            "noc_engine_legacy_adaptive",
+            "noc_engine_array_adaptive",
+        ),
+        (
             "noc_engine_batch_speedup",
             "noc_engine_batch_loop",
             "noc_engine_batched",
@@ -830,7 +848,11 @@ PARALLEL_SPEEDUP_GATES = (
 #: core count: batching and array evaluation win by cutting python
 #: dispatch overhead inside one process, so a single-core host has no
 #: excuse.
-BATCH_SPEEDUP_GATES = ("noc_engine_batch_speedup", "noc_analytical_speedup")
+BATCH_SPEEDUP_GATES = (
+    "noc_engine_batch_speedup",
+    "noc_engine_adaptive_speedup",
+    "noc_analytical_speedup",
+)
 
 
 def parallel_speedup_failures(result: Dict[str, Any]) -> List[str]:

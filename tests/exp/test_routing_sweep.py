@@ -1,5 +1,7 @@
 """Tests for the routing-policy sweep and the generic parallel map."""
 
+from decimal import ROUND_HALF_UP, Decimal
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,44 @@ class TestSweep:
 
     def test_default_policies_cover_paper_baselines(self):
         assert set(DEFAULT_POLICIES) == {"xy", "odd-even", "icon", "panr"}
+
+
+#: The EXPERIMENTS.md routing table: seed-averaged avg latency [cycles]
+#: per injection rate, for xy / odd-even / icon / panr.
+COMMITTED_AVG_LATENCY = {
+    0.05: (12.5, 13.1, 12.7, 12.8),
+    0.15: (12.4, 13.1, 13.0, 12.8),
+    0.25: (29.7, 76.8, 42.7, 46.9),
+    0.35: (142.5, 186.5, 195.2, 178.9),
+}
+
+
+def _one_decimal(printed):
+    """A value as printed by the CLI, rounded half-up to one decimal
+    (how the EXPERIMENTS.md table was written from the CLI output)."""
+    return float(Decimal(printed).quantize(Decimal("0.1"), ROUND_HALF_UP))
+
+
+class TestCommittedTable:
+    def test_default_sweep_matches_experiments_table(self):
+        rows = routing_sweep()
+        by_key = {(r.policy, r.injection_rate_flits): r for r in rows}
+        for rate, latencies in COMMITTED_AVG_LATENCY.items():
+            for policy, expected in zip(DEFAULT_POLICIES, latencies):
+                row = by_key[(policy, rate)]
+                got = _one_decimal(f"{row.avg_latency_cycles:.2f}")
+                assert got == expected, (policy, rate)
+        # Accepted throughput at rate 0.35: XY 16.5 flits/cycle, the
+        # other policies 13.8-15.4.
+        thr = {
+            policy: _one_decimal(
+                f"{by_key[(policy, 0.35)].throughput_flits_per_cycle:.3f}"
+            )
+            for policy in DEFAULT_POLICIES
+        }
+        assert thr.pop("xy") == 16.5
+        assert min(thr.values()) == 13.8
+        assert max(thr.values()) == 15.4
 
 
 def _double(x):

@@ -209,7 +209,7 @@ class TestBatchedSampling:
             estimand.sample(seed) for seed in seeds
         ]
 
-    def test_sample_batch_adaptive_fallback_matches_scalar(self):
+    def test_sample_batch_adaptive_matches_scalar(self):
         estimand = self._estimand("panr")
         seeds = [derive_seed(0, "verify/latency/replica", i)
                  for i in range(2)]

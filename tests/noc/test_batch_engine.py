@@ -334,6 +334,25 @@ class TestValidation:
                 route_table=np.zeros((3, 3), np.int8),
             )
 
+    @pytest.mark.parametrize("window", [0, -64])
+    def test_rate_window_validated(self, window):
+        # A zero window would divide by zero at the first cycle; a
+        # negative one would feed negative data rates to PANR/ICON.
+        mesh = MeshGeometry(4, 4)
+        for make in (
+            lambda: BatchedNocEngine(
+                mesh, make_routing("panr"), n_lanes=2, rate_window=window
+            ),
+            lambda: ArrayNocEngine(
+                mesh, make_routing("panr"), rate_window=window
+            ),
+            lambda: CycleNocSimulator(
+                mesh, make_routing("panr"), rate_window=window
+            ),
+        ):
+            with pytest.raises(ValueError, match="rate_window"):
+                make()
+
     def test_bad_run_arguments_rejected(self):
         mesh = MeshGeometry(4, 4)
         batch = BatchedNocEngine(mesh, make_routing("xy"), n_lanes=2)

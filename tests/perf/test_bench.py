@@ -56,6 +56,7 @@ class TestPinnedWorkloads:
         assert set(result) == {
             "noc_engine_legacy",
             "noc_engine_array",
+            "noc_engine_legacy_adaptive",
             "noc_engine_array_adaptive",
             "noc_engine_batch_loop",
             "noc_engine_batched",
@@ -69,6 +70,10 @@ class TestPinnedWorkloads:
         assert (
             result["noc_engine_array"]["seconds"]
             < result["noc_engine_legacy"]["seconds"]
+        )
+        assert (
+            result["noc_engine_array_adaptive"]["seconds"]
+            < result["noc_engine_legacy_adaptive"]["seconds"]
         )
         # bench_noc_engine verifies every batched lane against a fresh
         # scalar engine before timing, so reaching here also certifies
