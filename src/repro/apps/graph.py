@@ -9,12 +9,15 @@ edges sorted by decreasing volume (Algorithm 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple, TypeVar
 
 import networkx as nx
 import numpy as np
 
 from repro.pdn.waveforms import ActivityBin
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -48,11 +51,30 @@ class ApplicationGraph:
 
     Edges carry ``volume_bytes``: the total data exchanged between the two
     threads over one execution of the application.
+
+    Profiles build a graph once and the runtime then queries it on every
+    mapping attempt, so everything derived from the structure (edge
+    lists, topological order, neighbour lists, and whatever callers
+    register through :meth:`derived`) is computed on first use and kept
+    until the next mutation.  Queries hand out copies or immutable
+    values, so callers cannot corrupt the cache.
     """
 
     def __init__(self) -> None:
         self._g = nx.DiGraph()
         self._tasks: Dict[int, TaskNode] = {}
+        self._cache: Dict[Any, Any] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The cache is rebuilt on demand, so pickles (profiles shipped to
+        # worker processes) do not carry it.
+        state = dict(self.__dict__)
+        del state["_cache"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._cache = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -62,6 +84,7 @@ class ApplicationGraph:
         """Add a thread; task ids must be unique."""
         if task.task_id in self._tasks:
             raise ValueError(f"duplicate task id {task.task_id}")
+        self._cache.clear()
         self._tasks[task.task_id] = task
         self._g.add_node(task.task_id)
 
@@ -69,6 +92,7 @@ class ApplicationGraph:
         """Replace the attributes of an existing task (same id)."""
         if task.task_id not in self._tasks:
             raise ValueError(f"unknown task id {task.task_id}")
+        self._cache.clear()
         self._tasks[task.task_id] = task
 
     def scale_volumes(self, factor: float) -> None:
@@ -81,6 +105,7 @@ class ApplicationGraph:
         """
         if factor < 0:
             raise ValueError("factor must be non-negative")
+        self._cache.clear()
         for u, v, data in self._g.edges(data=True):
             data["volume_bytes"] = data["volume_bytes"] * factor
 
@@ -92,6 +117,7 @@ class ApplicationGraph:
             raise ValueError("self edges are not allowed")
         if volume_bytes < 0:
             raise ValueError("volume must be non-negative")
+        self._cache.clear()
         self._g.add_edge(src, dst, volume_bytes=float(volume_bytes))
         if not nx.is_directed_acyclic_graph(self._g):
             self._g.remove_edge(src, dst)
@@ -100,6 +126,19 @@ class ApplicationGraph:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    def derived(self, key: Any, build: Callable[["ApplicationGraph"], T]) -> T:
+        """``build(self)``, computed once per ``key`` until the graph
+        next changes.
+
+        The value is shared by every caller, so ``build`` must return
+        immutable data (tuples, frozen dataclasses).
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build(self)
+            return value
 
     @property
     def task_count(self) -> int:
@@ -121,14 +160,12 @@ class ApplicationGraph:
 
     def edges(self) -> List[Tuple[int, int, float]]:
         """All edges as ``(src, dst, volume_bytes)``."""
-        return [
-            (u, v, d["volume_bytes"]) for u, v, d in self._g.edges(data=True)
-        ]
+        return list(self.derived("edges", _edges))
 
     def edges_by_volume(self) -> List[Tuple[int, int, float]]:
         """Edges sorted by decreasing volume (ties broken by endpoints for
         determinism) - the order consumed by Algorithm 2."""
-        return sorted(self.edges(), key=lambda e: (-e[2], e[0], e[1]))
+        return list(self.derived("edges_by_volume", _edges_by_volume))
 
     def volume(self, src: int, dst: int) -> float:
         """Volume of one edge (0 if absent)."""
@@ -139,14 +176,14 @@ class ApplicationGraph:
         return sum(v for _, _, v in self.edges())
 
     def predecessors(self, task_id: int) -> List[int]:
-        return sorted(self._g.predecessors(task_id))
+        return list(self.derived("predecessors", _predecessors)[task_id])
 
     def successors(self, task_id: int) -> List[int]:
-        return sorted(self._g.successors(task_id))
+        return list(self.derived("successors", _successors)[task_id])
 
     def topological_order(self) -> List[int]:
         """Deterministic topological order of task ids."""
-        return list(nx.lexicographical_topological_sort(self._g))
+        return list(self.derived("topological_order", _topological_order))
 
     def sources(self) -> List[int]:
         return sorted(n for n in self._g.nodes if self._g.in_degree(n) == 0)
@@ -269,7 +306,39 @@ class ApplicationGraph:
                     if g.volume(u, int(v)) <= 0.0:
                         g.add_edge(u, int(v), float(rng.uniform(*volume_range)))
             for v in nxt:
-                if not g.predecessors(v):
+                if not g._g.in_degree(v):
                     u = int(rng.choice(list(cur)))
                     g.add_edge(u, v, float(rng.uniform(*volume_range)))
         return g
+
+
+# Builders for ApplicationGraph.derived: each returns immutable data.
+
+
+def _edges(graph: ApplicationGraph) -> Tuple[Tuple[int, int, float], ...]:
+    return tuple(
+        (u, v, d["volume_bytes"]) for u, v, d in graph._g.edges(data=True)
+    )
+
+
+def _edges_by_volume(
+    graph: ApplicationGraph,
+) -> Tuple[Tuple[int, int, float], ...]:
+    edges = graph.derived("edges", _edges)
+    return tuple(sorted(edges, key=lambda e: (-e[2], e[0], e[1])))
+
+
+def _topological_order(graph: ApplicationGraph) -> Tuple[int, ...]:
+    return tuple(nx.lexicographical_topological_sort(graph._g))
+
+
+def _predecessors(graph: ApplicationGraph) -> Mapping[int, Tuple[int, ...]]:
+    return MappingProxyType(
+        {t: tuple(sorted(graph._g.predecessors(t))) for t in graph._g.nodes}
+    )
+
+
+def _successors(graph: ApplicationGraph) -> Mapping[int, Tuple[int, ...]]:
+    return MappingProxyType(
+        {t: tuple(sorted(graph._g.successors(t))) for t in graph._g.nodes}
+    )

@@ -11,17 +11,28 @@ reads offline profile data.  This module is the model behind that data:
 * communication time is the NoC transfer latency of the APG edges; before
   mapping, an average hop estimate is used (the runtime refines it with
   the mapped NoC model);
-* the end-to-end WCET is the makespan of the EDF schedule of the DoP-sized
-  application graph.
+* the end-to-end WCET is the makespan of the DoP-sized application graph
+  with one dedicated core per thread.  That is the schedule
+  :func:`repro.sched.edf.edf_schedule` builds when ``core_count ==
+  task_count``: every task starts as soon as its inputs arrive, so the
+  makespan is the communication-aware longest path.
+  :meth:`PerformanceModel.estimate_wcet_s` computes that path directly
+  over a per-graph cached topological order and no longer calls
+  ``edf_schedule``, which stays the general scheduler and the oracle the
+  tests pin the fast path against (``==``, not a tolerance).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.apps.graph import ApplicationGraph
 from repro.chip.power import PowerModel
-from repro.sched.edf import edf_schedule
+
+#: Per task, in topological order: ``(task_id, work_cycles,
+#: ((pred, volume_bytes), ...))`` with predecessors in ascending id order.
+DataflowPlan = Tuple[Tuple[int, float, Tuple[Tuple[int, float], ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -115,14 +126,43 @@ class PerformanceModel:
         avg_hops: float = None,
         latency_scale: float = 1.0,
     ) -> float:
-        """End-to-end execution-time estimate: EDF-schedule makespan with
-        one dedicated core per thread."""
-        schedule = edf_schedule(
-            graph,
-            core_count=max(1, graph.task_count),
-            task_time=lambda t: self.task_time_s(graph, t, vdd),
-            comm_delay=lambda s, d: self.comm_delay_s(
-                graph, s, d, vdd, avg_hops, latency_scale
-            ),
+        """End-to-end execution-time estimate: the makespan with one
+        dedicated core per thread.
+
+        Each task finishes at ``max(0, max over preds p of (finish[p] +
+        comm_delay(p, t))) + task_time(t)``.  The per-task and per-edge
+        terms are :meth:`task_time_s` and :meth:`comm_delay_s` with the
+        same float operations in the same order, and the predecessors
+        are folded in ascending id order, so the result equals
+        ``edf_schedule(graph, graph.task_count, ...).makespan`` bit for
+        bit.
+        """
+        if latency_scale < 1.0 and graph.edge_count:
+            raise ValueError("latency_scale must be >= 1")
+        plan = graph.derived("dataflow_plan", _dataflow_plan)
+        if not plan:
+            return 0.0
+        cycle_s = self.cycle_time_s(vdd)
+        factor = self.sync.factor(graph.task_count)
+        hops = self.default_hops if avg_hops is None else avg_hops
+        hop_cycles = hops * self.per_hop_cycles
+        bytes_per_cycle = self.noc_bytes_per_cycle
+        finish = {}
+        for task, work_cycles, preds in plan:
+            start = 0.0
+            for pred, volume in preds:
+                cycles = (volume / bytes_per_cycle + hop_cycles) * latency_scale
+                start = max(start, finish[pred] + cycles * cycle_s)
+            finish[task] = start + work_cycles * factor * cycle_s
+        return max(finish.values())
+
+
+def _dataflow_plan(graph: ApplicationGraph) -> DataflowPlan:
+    return tuple(
+        (
+            t,
+            graph.task(t).work_cycles,
+            tuple((p, graph.volume(p, t)) for p in graph.predecessors(t)),
         )
-        return schedule.makespan
+        for t in graph.topological_order()
+    )

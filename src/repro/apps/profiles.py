@@ -9,7 +9,8 @@ consumption and NoC communication at every (Vdd, DoP) operating point.
 * a DoP-sized application graph per supported DoP (deterministic per
   benchmark seed), with per-task activity bins/factors and communication
   volumes;
-* a WCET estimate per (Vdd, DoP) from the EDF-schedule performance model;
+* a WCET estimate per (Vdd, DoP) from the dedicated-core performance
+  model;
 * power-consumption estimates per (Vdd, DoP) from the chip power model.
 """
 
@@ -18,7 +19,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,12 +166,7 @@ class ApplicationProfile:
     ) -> float:
         """Router injection+ejection rate at a task's tile (flits/cycle)."""
         point = self.point(vdd, dop)
-        graph = self.graph(dop)
-        bytes_at_task = sum(
-            v
-            for s, d, v in graph.edges()
-            if s == task_id or d == task_id
-        )
+        bytes_at_task = _bytes_per_task(self.graph(dop)).get(task_id, 0)
         cycles = point.wcet_s * _frequency_of(vdd, self._tech_cache)
         if cycles <= 0:
             return 0.0
@@ -184,6 +181,25 @@ def _frequency_of(vdd: float, tech: TechnologyNode) -> float:
     from repro.chip.dvfs import alpha_power_frequency
 
     return alpha_power_frequency(vdd, tech)
+
+
+def _bytes_per_task(graph: ApplicationGraph) -> Mapping[int, float]:
+    """Bytes each task sends plus receives, summed in edge order."""
+    return graph.derived("bytes_per_task", _sum_bytes_per_task)
+
+
+def _sum_bytes_per_task(graph: ApplicationGraph) -> Mapping[int, float]:
+    edges = graph.edges()
+    return MappingProxyType(
+        {
+            task.task_id: sum(
+                v
+                for s, d, v in edges
+                if s == task.task_id or d == task.task_id
+            )
+            for task in graph.tasks()
+        }
+    )
 
 
 def _layer_sizes(dop: int) -> Sequence[int]:
@@ -263,6 +279,7 @@ def build_profile(
     graphs = {dop: _build_graph(spec, dop) for dop in dops}
     points: Dict[Tuple[float, int], OperatingPoint] = {}
     for dop, graph in graphs.items():
+        bytes_per_task = _bytes_per_task(graph)
         for vdd in vdds:
             wcet = performance.estimate_wcet_s(graph, vdd)
             freq = power_model.frequency(vdd)
@@ -270,11 +287,7 @@ def build_profile(
             total_power = 0.0
             total_flits = 0.0
             for task in graph.tasks():
-                bytes_at_task = sum(
-                    v
-                    for s, d, v in graph.edges()
-                    if s == task.task_id or d == task.task_id
-                )
+                bytes_at_task = bytes_per_task[task.task_id]
                 # Injection/ejection plus through-traffic: flits visit
                 # ~default_hops routers on their way across the region.
                 flits = (

@@ -90,7 +90,7 @@ def benchmark(name: str) -> BenchmarkSpec:
 class ProfileLibrary:
     """Lazily built, cached profiles for the whole suite.
 
-    Building a profile runs the EDF performance model over every
+    Building a profile runs the performance model over every
     (Vdd, DoP) point, so experiment harnesses share one library instance.
     """
 

@@ -9,6 +9,7 @@ Vdd; tasks of different applications are never mapped into one domain
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Tuple
 
 from repro.chip.mesh import MeshGeometry
@@ -90,6 +91,14 @@ class DomainMap:
         bx, by = self.domain_coord(b)
         return abs(ax - bx) + abs(ay - by)
 
+    @property
+    def distance_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """All-pairs domain distances: ``distance_rows[a][b]`` equals
+        ``domain_distance(a, b)``.  Built once per grid shape, for
+        placement loops that compare every free domain with every
+        other."""
+        return _distance_rows(self._grid_w, self._grid_h)
+
     def neighbor_domains(self, domain: int) -> List[int]:
         """Domains adjacent (distance 1) to ``domain`` in the domain grid."""
         x, y = self.domain_coord(domain)
@@ -99,3 +108,12 @@ class DomainMap:
             for c in candidates
             if 0 <= c[0] < self._grid_w and 0 <= c[1] < self._grid_h
         ]
+
+
+@functools.lru_cache(maxsize=None)
+def _distance_rows(grid_w: int, grid_h: int) -> Tuple[Tuple[int, ...], ...]:
+    coords = [(d % grid_w, d // grid_w) for d in range(grid_w * grid_h)]
+    return tuple(
+        tuple(abs(ax - bx) + abs(ay - by) for bx, by in coords)
+        for ax, ay in coords
+    )

@@ -10,6 +10,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
+import numpy as np
+
 Coordinate = Tuple[int, int]
 
 
@@ -62,11 +64,12 @@ class MeshGeometry:
         return abs(ax - bx) + abs(ay - by)
 
     @property
-    def hop_rows(self) -> Tuple[Tuple[int, ...], ...]:
-        """All-pairs Manhattan distances: ``hop_rows[a][b]`` equals
-        ``manhattan(a, b)``.  Built once per mesh size, for placement
-        loops that would otherwise re-derive coordinates per pair."""
-        return _hop_rows(self.width, self.height)
+    def hop_matrix(self) -> np.ndarray:
+        """All-pairs Manhattan distances as a read-only integer array:
+        ``hop_matrix[a, b]`` equals ``manhattan(a, b)``.  Built once per
+        mesh size, for placement loops that score every free tile at
+        once."""
+        return _hop_matrix(self.width, self.height)
 
     def neighbors(self, tile: int) -> List[int]:
         """Tiles at Manhattan distance 1 (2 to 4 of them)."""
@@ -93,9 +96,9 @@ class MeshGeometry:
 
 
 @functools.lru_cache(maxsize=None)
-def _hop_rows(width: int, height: int) -> Tuple[Tuple[int, ...], ...]:
-    coords = [(t % width, t // width) for t in range(width * height)]
-    return tuple(
-        tuple(abs(ax - bx) + abs(ay - by) for bx, by in coords)
-        for ax, ay in coords
-    )
+def _hop_matrix(width: int, height: int) -> np.ndarray:
+    tiles = np.arange(width * height)
+    x, y = tiles % width, tiles // width
+    matrix = np.abs(x[:, None] - x[None, :]) + np.abs(y[:, None] - y[None, :])
+    matrix.setflags(write=False)
+    return matrix

@@ -62,7 +62,19 @@ def cluster_tasks(
         raise ValueError(
             f"task count {graph.task_count} is not a multiple of 4"
         )
+    # The clusters depend on the graph alone, and PARM asks for them at
+    # every (Vdd, DoP) candidate of every mapping attempt.
+    return list(
+        graph.derived(
+            ("clusters", activity_aware),
+            lambda g: _cluster(g, activity_aware),
+        )
+    )
 
+
+def _cluster(
+    graph: ApplicationGraph, activity_aware: bool
+) -> Tuple[TaskCluster, ...]:
     listed = set()
     high: List[int] = []
     low: List[int] = []
@@ -94,4 +106,4 @@ def cluster_tasks(
     remainder = high + low
     if remainder:
         clusters.append(make(tuple(remainder)))
-    return clusters
+    return tuple(clusters)

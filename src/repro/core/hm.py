@@ -27,7 +27,9 @@ neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.apps.graph import ApplicationGraph
 from repro.apps.profiles import ApplicationProfile
@@ -85,55 +87,68 @@ class HarmonicManager(ResourceManager):
         state: ChipState,
         vdd: float,
     ) -> Optional[Dict[int, int]]:
-        """Harmonic placement over individual free tiles."""
-        hops = state.chip.mesh.hop_rows
+        """Harmonic placement over individual free tiles.
+
+        ``free`` stays in ascending tile order, so the first index of an
+        ``argmax``/``argmin`` is the lowest tile id among equal scores:
+        the tie-break of the defining rule (farthest from the placed
+        High tasks, else nearest to the placed APG neighbours, lowest
+        id first).
+        """
+        hops = state.chip.mesh.hop_matrix
         domains = state.chip.domains
-        free = [
-            t
-            for t in state.free_tiles()
-            # HM may share domains between applications, but the hardware
-            # still requires one Vdd per domain.
-            if state.domain_vdd(domains.domain_of(t)) in (None, vdd)
-        ]
+        free = np.array(
+            [
+                t
+                for t in state.free_tiles()
+                # HM may share domains between applications, but the
+                # hardware still requires one Vdd per domain.
+                if state.domain_vdd(domains.domain_of(t)) in (None, vdd)
+            ],
+            dtype=np.intp,
+        )
         if len(free) < graph.task_count:
             return None
 
-        order = sorted(
-            graph.tasks(),
-            key=lambda t: (-t.activity_factor, t.task_id),
-        )
         placed: Dict[int, int] = {}
-        placed_high: List[int] = []
-        for task in order:
-            if task.activity_bin is ActivityBin.HIGH:
-                if placed_high:
-                    tile = max(
-                        free,
-                        key=lambda f: (
-                            min(hops[f][p] for p in placed_high),
-                            -f,
-                        ),
-                    )
-                else:
-                    tile = free[0]
-                placed_high.append(tile)
+        # Per tile: hop distance to the nearest placed High task.
+        to_high: Optional[np.ndarray] = None
+        for task_id, is_high, adjacent in graph.derived(
+            "hm_order", _hm_order
+        ):
+            index = 0
+            if is_high:
+                if to_high is not None:
+                    index = int(np.argmax(to_high[free]))
+                tile = int(free[index])
+                row = hops[tile]
+                to_high = row if to_high is None else np.minimum(to_high, row)
             else:
-                neighbours = [
-                    placed[n]
-                    for n in graph.predecessors(task.task_id)
-                    + graph.successors(task.task_id)
-                    if n in placed
-                ]
+                neighbours = [placed[n] for n in adjacent if n in placed]
                 if neighbours:
-                    tile = min(
-                        free,
-                        key=lambda f: (
-                            sum(hops[f][p] for p in neighbours),
-                            f,
-                        ),
+                    index = int(
+                        np.argmin(hops[neighbours][:, free].sum(axis=0))
                     )
-                else:
-                    tile = free[0]
-            placed[task.task_id] = tile
-            free.remove(tile)
+                tile = int(free[index])
+            placed[task_id] = tile
+            free = np.delete(free, index)
         return placed
+
+
+def _hm_order(
+    graph: ApplicationGraph,
+) -> Tuple[Tuple[int, bool, Tuple[int, ...]], ...]:
+    """Tasks in decreasing activity factor (ties by id), each with its
+    activity class and its APG neighbours."""
+    order = sorted(
+        graph.tasks(),
+        key=lambda t: (-t.activity_factor, t.task_id),
+    )
+    return tuple(
+        (
+            t.task_id,
+            t.activity_bin is ActivityBin.HIGH,
+            tuple(graph.predecessors(t.task_id) + graph.successors(t.task_id)),
+        )
+        for t in order
+    )

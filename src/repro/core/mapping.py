@@ -15,7 +15,7 @@ Given a (Vdd, DoP) pair that satisfies the deadline, the heuristic:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.apps.profiles import ApplicationProfile
 from repro.core.base import MappingDecision
@@ -29,6 +29,7 @@ def psn_aware_mapping(
     vdd: float,
     dop: int,
     state: ChipState,
+    free_domains: Optional[Sequence[int]] = None,
 ) -> Optional[MappingDecision]:
     """Algorithm 2: find a PSN-minimising placement or report failure.
 
@@ -37,6 +38,8 @@ def psn_aware_mapping(
         vdd: Candidate supply voltage.
         dop: Candidate degree of parallelism.
         state: Current chip occupancy.
+        free_domains: ``state.free_domains()``, when the caller already
+            holds it (PARM tries many candidates against one state).
 
     Returns:
         The mapping decision, or ``None`` when the DsPB or domain
@@ -47,7 +50,7 @@ def psn_aware_mapping(
         return None  # lines 1-2
     graph = profile.graph(dop)
     clusters = cluster_tasks(graph)  # lines 3-9
-    free = state.free_domains()
+    free = state.free_domains() if free_domains is None else free_domains
     if len(free) < len(clusters):
         return None  # lines 10-11
     task_to_tile = place_clusters(graph, clusters, free, state.chip.domains)

@@ -23,7 +23,7 @@ the number of tiles, matching the paper's O(T) analysis (Section 4.3):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.graph import ApplicationGraph
 from repro.chip.domains import DomainMap
@@ -46,23 +46,11 @@ def place_clusters(
     if len(free_domains) < len(clusters):
         return None
 
-    cluster_of = {
-        t: i for i, c in enumerate(clusters) for t in c.tasks
-    }
-    # Inter-cluster communication volumes.
-    volume = [[0.0] * len(clusters) for _ in clusters]
-    external = [0.0] * len(clusters)
-    for src, dst, vol in graph.edges():
-        a, b = cluster_of[src], cluster_of[dst]
-        if a != b:
-            volume[a][b] += vol
-            volume[b][a] += vol
-            external[a] += vol
-            external[b] += vol
-
-    order = sorted(
-        range(len(clusters)), key=lambda i: (-external[i], i)
+    volume, order = graph.derived(
+        ("cluster_volumes", tuple(c.tasks for c in clusters)),
+        lambda g: _cluster_volumes(g, clusters),
     )
+    distance = domains.distance_rows
     available = list(free_domains)
     chosen: Dict[int, int] = {}  # cluster index -> domain id
 
@@ -72,19 +60,17 @@ def place_clusters(
             # other free domains so later clusters have close options.
             best = min(
                 available,
-                key=lambda d: (
-                    sum(domains.domain_distance(d, o) for o in available),
-                    d,
-                ),
+                key=lambda d: (sum(distance[d][o] for o in available), d),
             )
         else:
+            placed = list(chosen.items())
+            to_ci = volume[ci]
+
             def cost(d: int) -> float:
+                row = distance[d]
                 return sum(
-                    domains.domain_distance(d, chosen[cj]) * volume[ci][cj]
-                    for cj in chosen
-                ) + 1e-3 * sum(
-                    domains.domain_distance(d, chosen[cj]) for cj in chosen
-                )
+                    row[domain] * to_ci[cj] for cj, domain in placed
+                ) + 1e-3 * sum(row[domain] for _, domain in placed)
 
             best = min(available, key=lambda d: (cost(d), d))
         chosen[ci] = best
@@ -96,6 +82,29 @@ def place_clusters(
             _place_within_domain(graph, clusters[ci], domains.tiles_of(domain))
         )
     return mapping
+
+
+def _cluster_volumes(
+    graph: ApplicationGraph, clusters: Sequence[TaskCluster]
+) -> Tuple[Tuple[Tuple[float, ...], ...], Tuple[int, ...]]:
+    """Inter-cluster volume matrix and the placement order (decreasing
+    external volume, ties by index); both depend on the graph alone."""
+    cluster_of = {
+        t: i for i, c in enumerate(clusters) for t in c.tasks
+    }
+    volume = [[0.0] * len(clusters) for _ in clusters]
+    external = [0.0] * len(clusters)
+    for src, dst, vol in graph.edges():
+        a, b = cluster_of[src], cluster_of[dst]
+        if a != b:
+            volume[a][b] += vol
+            volume[b][a] += vol
+            external[a] += vol
+            external[b] += vol
+    order = sorted(
+        range(len(clusters)), key=lambda i: (-external[i], i)
+    )
+    return tuple(tuple(row) for row in volume), tuple(order)
 
 
 def _place_within_domain(

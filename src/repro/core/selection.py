@@ -40,13 +40,18 @@ class ParmManager(ResourceManager):
         state: ChipState,
     ) -> Optional[MappingDecision]:
         ladder = state.chip.vdd_ladder
+        free = None  # the state does not change while candidates are tried
         for vdd in ladder:  # increasing Vdd (line 3)
             for dop in sorted(profile.supported_dops, reverse=True):  # line 4
                 wcet = profile.wcet_s(vdd, dop)  # line 5
                 if wcet >= deadline_s:
                     # Lower DoPs are slower still: next Vdd (line 13).
                     break
-                decision = psn_aware_mapping(profile, vdd, dop, state)  # line 7
+                if free is None:
+                    free = state.free_domains()
+                decision = psn_aware_mapping(
+                    profile, vdd, dop, state, free
+                )  # line 7
                 if decision is not None:
                     return decision
                 # Mapping failed: a lower DoP needs fewer domains and

@@ -11,6 +11,11 @@ In PARM's normal operation every thread has a dedicated core
 dataflow-driven execution and the makespan equals the communication-aware
 critical path; the general scheduler also supports fewer cores than tasks,
 which the tests exercise.
+
+:meth:`repro.apps.performance.PerformanceModel.estimate_wcet_s` no longer
+calls this scheduler: it computes the dedicated-core makespan as that
+longest path directly.  ``edf_schedule`` is the oracle it is pinned to,
+``==`` on random DAGs and on every suite graph.
 """
 
 from __future__ import annotations

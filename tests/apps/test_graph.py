@@ -110,6 +110,84 @@ class TestQueries:
             diamond.task(7)
 
 
+class TestDerivedCache:
+    """Every query reads a per-graph cache; every mutator must drop it."""
+
+    @staticmethod
+    def queries(g):
+        return (
+            g.edges(),
+            g.edges_by_volume(),
+            g.topological_order(),
+            {t.task_id: g.predecessors(t.task_id) for t in g.tasks()},
+            {t.task_id: g.successors(t.task_id) for t in g.tasks()},
+            g.total_volume_bytes(),
+            g.derived("work", lambda g: tuple(t.work_cycles for t in g.tasks())),
+        )
+
+    @staticmethod
+    def fresh(g):
+        """The same queries on an uncached copy of ``g``."""
+        copy = ApplicationGraph()
+        for t in g.tasks():
+            copy.add_task(t)
+        for u, v, vol in g.edges():
+            copy.add_edge(u, v, vol)
+        return TestDerivedCache.queries(copy)
+
+    def test_add_task_invalidates(self, diamond):
+        before = self.queries(diamond)
+        diamond.add_task(node(4))
+        after = self.queries(diamond)
+        assert after != before
+        assert 4 in after[2] and after == self.fresh(diamond)
+
+    def test_add_edge_invalidates(self, diamond):
+        before = self.queries(diamond)
+        diamond.add_edge(1, 2, 500.0)
+        after = self.queries(diamond)
+        assert after != before
+        assert after[1][0] == (1, 2, 500.0)
+        assert after == self.fresh(diamond)
+
+    def test_replace_task_invalidates(self, diamond):
+        before = self.queries(diamond)
+        diamond.replace_task(node(1, ActivityBin.LOW, work=9e9))
+        after = self.queries(diamond)
+        assert after[6] != before[6] and after[6][1] == 9e9
+        assert after == self.fresh(diamond)
+
+    def test_scale_volumes_invalidates(self, diamond):
+        before = self.queries(diamond)
+        diamond.scale_volumes(2.0)
+        after = self.queries(diamond)
+        assert after[5] == 2 * before[5] == 1300.0
+        assert after[1][0] == (0, 2, 600.0)
+        assert after == self.fresh(diamond)
+
+    def test_rejected_cycle_leaves_queries_correct(self, diamond):
+        self.queries(diamond)
+        with pytest.raises(ValueError, match="cycle"):
+            diamond.add_edge(3, 0, 1.0)
+        assert self.queries(diamond) == self.fresh(diamond)
+
+    def test_callers_cannot_corrupt_the_cache(self, diamond):
+        before = self.queries(diamond)
+        diamond.edges().clear()
+        diamond.edges_by_volume().reverse()
+        diamond.topological_order().append(99)
+        diamond.predecessors(3).append(99)
+        diamond.successors(0).clear()
+        assert self.queries(diamond) == before
+
+    def test_pickle_drops_the_cache(self, diamond):
+        import pickle
+
+        before = self.queries(diamond)
+        assert "_cache" not in diamond.__getstate__()
+        assert self.queries(pickle.loads(pickle.dumps(diamond))) == before
+
+
 class TestForkJoin:
     def test_shape(self):
         n = 6

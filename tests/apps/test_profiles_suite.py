@@ -150,3 +150,67 @@ class TestProfile:
         p = library.get("swaptions")
         assert p.power_w(0.8, 32) > 65.0
         assert p.power_w(0.4, 32) < 65.0
+
+
+def reference_points(profile, performance):
+    """The operating points as the profile builder first computed them:
+    the EDF-schedule makespan, and every task's edge bytes re-summed for
+    every Vdd.  The builder now sums the bytes once per DoP and takes the
+    dedicated-core longest path; every point must stay ``==``."""
+    from repro.apps.profiles import FLIT_PAYLOAD_BYTES, OperatingPoint
+    from repro.sched.edf import edf_schedule
+
+    power_model = performance.power_model
+    points = {}
+    for dop in profile.supported_dops:
+        graph = profile.graph(dop)
+        for vdd in profile.supported_vdds:
+            wcet = edf_schedule(
+                graph,
+                core_count=graph.task_count,
+                task_time=lambda t: performance.task_time_s(graph, t, vdd),
+                comm_delay=lambda s, d: performance.comm_delay_s(
+                    graph, s, d, vdd
+                ),
+            ).makespan
+            cycles = wcet * power_model.frequency(vdd)
+            total_power = 0.0
+            total_flits = 0.0
+            for task in graph.tasks():
+                bytes_at_task = sum(
+                    v
+                    for s, d, v in graph.edges()
+                    if s == task.task_id or d == task.task_id
+                )
+                flits = (
+                    (bytes_at_task / FLIT_PAYLOAD_BYTES)
+                    * performance.default_hops
+                    / cycles
+                    if cycles > 0
+                    else 0.0
+                )
+                tile = power_model.tile_power(task.activity_factor, flits, vdd)
+                total_power += tile.total
+                total_flits += flits
+            points[(vdd, dop)] = OperatingPoint(
+                vdd=vdd,
+                dop=dop,
+                wcet_s=wcet,
+                power_w=total_power,
+                avg_router_flits_per_cycle=total_flits / dop,
+            )
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_operating_points_equal_reference(library, name):
+    from repro.apps.performance import PerformanceModel
+    from repro.chip.power import PowerModel
+    from repro.chip.technology import technology
+
+    profile = library.get(name)
+    performance = PerformanceModel(PowerModel(technology("7nm")))
+    reference = reference_points(profile, performance)
+    assert len(reference) == 5 * len(SUPPORTED_DOPS)
+    for (vdd, dop), point in reference.items():
+        assert profile.point(vdd, dop) == point, (vdd, dop)

@@ -79,6 +79,33 @@ class TestPinnedWorkloads:
         # scalar engine before timing, so reaching here also certifies
         # the lane-identity contract on the quick workload.
         assert result["noc_engine_batched"]["meta"]["lanes"] == 8
+        assert result["noc_engine_array_adaptive"]["meta"]["select_calls"] == 0
+
+    def test_noc_engine_bench_rejects_scalar_select(self, monkeypatch):
+        # A PANR engine that fell back to per-decision select() calls
+        # would still beat the object-per-flit reference; the bench
+        # counts the calls and refuses to time it.
+        from repro.noc.routing.base import RoutingAlgorithm
+        from repro.noc.routing.panr import PanrRouting
+
+        monkeypatch.setattr(
+            PanrRouting, "select_ports", RoutingAlgorithm.select_ports
+        )
+        with pytest.raises(RuntimeError, match="scalar select calls"):
+            bench.bench_noc_engine(quick=True)
+
+    def test_wcet_bench_asserts_identity(self):
+        result = bench.bench_wcet(quick=True)
+        assert set(result) == {"wcet_makespan_edf", "wcet_makespan_fast"}
+        for entry in result.values():
+            assert entry["seconds"] > 0
+            assert entry["meta"]["points"] == 4 * 8 * 5
+        # bench_wcet compares every makespan with the EDF oracle before
+        # timing; the longest path must also win.
+        assert (
+            result["wcet_makespan_fast"]["seconds"]
+            < result["wcet_makespan_edf"]["seconds"]
+        )
 
     def test_noc_analytical_bench_asserts_identity(self):
         result = bench.bench_noc_analytical(quick=True)
@@ -223,6 +250,16 @@ class TestCli:
         assert len(failures) == 1
         assert "noc_analytical_speedup" in failures[0]
         slow["derived"]["noc_analytical_speedup"] = 4.0
+        assert bench.parallel_speedup_failures(slow) == []
+
+    def test_wcet_speedup_gated_on_any_core_count(self, monkeypatch):
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 1)
+        slow = payload({}, quick=False)
+        slow["derived"] = {"wcet_makespan_speedup": 0.9}
+        failures = bench.parallel_speedup_failures(slow)
+        assert len(failures) == 1
+        assert "wcet_makespan_speedup" in failures[0]
+        slow["derived"]["wcet_makespan_speedup"] = 3.0
         assert bench.parallel_speedup_failures(slow) == []
 
     def test_default_gate_is_generous(self):
